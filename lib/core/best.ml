@@ -30,3 +30,29 @@ let best_of outcomes =
 
 let route ?heuristics ?fault model mesh comms =
   best_of (run_all ?heuristics ?fault model mesh comms)
+
+let penalized_of ?fault model solution =
+  Evaluate.penalized model (Solution.loads ?fault solution)
+
+let baseline ?fault model mesh comms =
+  let outcomes = run_all ?fault model mesh comms in
+  match best_of outcomes with
+  | Some o -> o
+  | None ->
+      let scored =
+        List.map (fun o -> (penalized_of ?fault model o.solution, o)) outcomes
+      in
+      snd
+        (List.fold_left
+           (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
+           (List.hd scored) (List.tl scored))
+
+let no_worse ?fault model solution report ~than =
+  match (report.Evaluate.feasible, than.report.Evaluate.feasible) with
+  | true, false -> true
+  | false, true -> false
+  | true, true ->
+      report.Evaluate.total_power <= than.report.Evaluate.total_power
+  | false, false ->
+      penalized_of ?fault model solution
+      <= penalized_of ?fault model than.solution

@@ -29,3 +29,25 @@ val route :
   Traffic.Communication.t list ->
   outcome option
 (** [best_of (run_all ...)]. *)
+
+val baseline :
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Noc.Mesh.t ->
+  Traffic.Communication.t list ->
+  outcome
+(** The single-path baseline the engines of [Optim] start from or guard
+    against: {!best_of} over {!run_all}, or, when every heuristic fails,
+    the outcome of least capped penalized power (the first on ties). *)
+
+val no_worse :
+  ?fault:Noc.Fault.t ->
+  Power.Model.t ->
+  Solution.t ->
+  Evaluate.report ->
+  than:outcome ->
+  bool
+(** The never-worse guard: the candidate (with its report) is kept over
+    [than] when it is feasible and [than] is not, or both are feasible
+    and it draws no more total power, or both fail and its penalized
+    power is no higher. *)

@@ -234,6 +234,14 @@ let remove_path t path rate = add_path t path (-.rate)
 let add_walk t walk rate = Noc.Walk.iter_links walk (fun l -> add_link t l rate)
 let remove_walk t walk rate = add_walk t walk (-.rate)
 
+let add_route t (r : Solution.route) =
+  List.iter (fun (p, x) -> add_path t p x) r.paths;
+  List.iter (fun (w, x) -> add_walk t w x) r.detours
+
+let remove_route t (r : Solution.route) =
+  List.iter (fun (p, x) -> remove_path t p x) r.paths;
+  List.iter (fun (w, x) -> remove_walk t w x) r.detours
+
 type mark = int
 
 let mark t =

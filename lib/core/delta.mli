@@ -106,6 +106,12 @@ val remove_path : t -> Noc.Path.t -> float -> unit
 val add_walk : t -> Noc.Walk.t -> float -> unit
 val remove_walk : t -> Noc.Walk.t -> float -> unit
 
+val add_route : t -> Solution.route -> unit
+(** Every part of the route: paths first, then detour walks. *)
+
+val remove_route : t -> Solution.route -> unit
+(** The exact inverse of {!add_route}. *)
+
 val report : t -> Evaluate.report
 (** The report a from-scratch [Evaluate.of_loads (model t) (loads t)]
     would return, bit-identical field by field — without rescanning the

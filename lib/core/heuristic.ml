@@ -85,3 +85,37 @@ let find_extended name =
       List.fold_left
         (fun acc resolve -> match acc with Some _ -> acc | None -> resolve name)
         None !resolvers
+
+let family ~prefix ~default ~min name =
+  let name = String.lowercase_ascii (String.trim name) in
+  if not (String.starts_with ~prefix name) then None
+  else
+    let p = String.length prefix in
+    let rest = String.sub name p (String.length name - p) in
+    if rest = "" then Some default
+    else
+      let n = String.length rest in
+      let rest =
+        if n >= 2 && rest.[0] = '(' && rest.[n - 1] = ')' then
+          String.sub rest 1 (n - 2)
+        else rest
+      in
+      if rest = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') rest)
+      then None
+      else
+        match int_of_string_opt rest with
+        | Some k when k >= min -> Some k
+        | _ -> None
+
+module Stash = struct
+  type 'a t = 'a option ref Domain.DLS.key
+
+  let create () = Domain.DLS.new_key (fun () -> ref None)
+  let set t v = Domain.DLS.get t := v
+
+  let take t =
+    let slot = Domain.DLS.get t in
+    let v = !slot in
+    slot := None;
+    v
+end

@@ -75,3 +75,25 @@ val register : (string -> t option) -> unit
 val find_extended : string -> t option
 (** {!find}, falling back to the registered resolvers — the lookup the
     CLIs use so every engine is reachable by name. *)
+
+val family : prefix:string -> default:int -> min:int -> string -> int option
+(** Parse the spelling of a parameterised policy family, case-insensitive
+    and trimmed: the bare [prefix] gives [default], [prefix]N or
+    [prefix](N) gives N, where N is decimal digits only and at least
+    [min]. [None] for anything else — what the [find] resolvers of the
+    [Optim] engines are built on. *)
+
+(** A per-domain slot holding what the last run of an engine on this
+    domain left for the observability layer (a registry heuristic returns
+    only its solution). Domain-local, hence race-free under the campaign
+    pool. *)
+module Stash : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val set : 'a t -> 'a option -> unit
+
+  val take : 'a t -> 'a option
+  (** The stashed value, cleared by the read so a stale value can never
+      be mistaken for the next run's. *)
+end

@@ -130,10 +130,6 @@ let reroute fault sc loads (comm : Traffic.Communication.t) =
 let manhattan_usable fault model loads comm =
   manhattan_usable_sc fault (Delta.scorer model loads) loads comm
 
-let add_route loads (r : Solution.route) =
-  List.iter (fun (p, share) -> Noc.Load.add_path loads p share) r.paths;
-  List.iter (fun (w, share) -> Noc.Load.add_walk loads w share) r.detours
-
 let solution fault model s =
   if Noc.Fault.is_trivial fault then s
   else begin
@@ -144,7 +140,7 @@ let solution fault model s =
       List.map
         (fun (r : Solution.route) ->
           if route_usable fault r then begin
-            add_route loads r;
+            Solution.load_route loads r;
             r
           end
           else reroute fault sc loads r.comm)

@@ -103,13 +103,13 @@ let detour_hops t =
       List.fold_left (fun n (w, _) -> n + Noc.Walk.detour_hops w) n r.detours)
     0 t.routes
 
+let load_route loads r =
+  List.iter (fun (p, share) -> Noc.Load.add_path loads p share) r.paths;
+  List.iter (fun (w, share) -> Noc.Load.add_walk loads w share) r.detours
+
 let loads ?fault t =
   let loads = Noc.Load.create ?fault t.mesh in
-  List.iter
-    (fun r ->
-      List.iter (fun (p, share) -> Noc.Load.add_path loads p share) r.paths;
-      List.iter (fun (w, share) -> Noc.Load.add_walk loads w share) r.detours)
-    t.routes;
+  List.iter (load_route loads) t.routes;
   loads
 
 let iter_route_links r f =
@@ -119,6 +119,11 @@ let iter_route_links r f =
   List.iter
     (fun (w, _) -> Array.iter f (Noc.Walk.links w))
     r.detours
+
+let route_crosses mesh mask r =
+  let hit = ref false in
+  iter_route_links r (fun l -> if mask.(Noc.Mesh.link_id mesh l) then hit := true);
+  !hit
 
 let path_of t comm =
   List.find_map

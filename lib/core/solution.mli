@@ -63,10 +63,17 @@ val loads : ?fault:Noc.Fault.t -> t -> Noc.Load.t
     carried by the returned {!Noc.Load.t} so evaluation sees the degraded
     capacities. *)
 
+val load_route : Noc.Load.t -> route -> unit
+(** Add every part of the route to the loads: paths first, then detour
+    walks — the accumulation {!loads} folds over the routes. *)
+
 val iter_route_links : route -> (Noc.Mesh.link -> unit) -> unit
 (** Apply the function to every directed link of every part of the route
     (paths first, then detour walks; a link used by several parts is
     visited once per part). *)
+
+val route_crosses : Noc.Mesh.t -> bool array -> route -> bool
+(** Some link of the route is set in the per-link-id mask. *)
 
 val path_of : t -> Traffic.Communication.t -> Noc.Path.t option
 (** The unique path of a communication in a single-path solution; [None] if

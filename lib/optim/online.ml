@@ -6,10 +6,6 @@ let default_global_iterations = 16
 let default_rate = 8.
 let default_churn = 40
 
-let bump_reroute () =
-  let m = Routing.Metrics.current () in
-  m.Routing.Metrics.detour_searches <- m.Routing.Metrics.detour_searches + 1
-
 type shed = { comm : Traffic.Communication.t; reason : Recover.shed_reason }
 
 type power_split = {
@@ -47,17 +43,14 @@ type op = {
 type t = {
   model : Power.Model.t;
   mesh : Noc.Mesh.t;
-  fault : Noc.Fault.t;
   idle_epochs : int;
   wake_penalty : float;
   sleep : bool;
   refine_iterations : int;
   global_iterations : int;
-  history : float array;
-  mutable eng : Routing.Delta.t;
-  mutable live_routes : (int * Routing.Solution.route) list;
-      (* admission order; the engine's loads are always the canonical
-         fold of this list over a fresh engine *)
+  session : Session.t;
+      (* keyed by admission: a clean admit appends in canonical order *)
+  keys : (int, int) Hashtbl.t;  (* communication id -> session key *)
   mutable pending_shed : shed list;  (* oldest first *)
   awake : bool array;
   idle_for : int array;
@@ -99,15 +92,13 @@ let create ?fault ?(idle_epochs = default_idle_epochs) ?wake_penalty
   {
     model;
     mesh;
-    fault;
     idle_epochs;
     wake_penalty;
     sleep;
     refine_iterations;
     global_iterations;
-    history = Array.make nl 0.;
-    eng = Routing.Delta.create ~fault model mesh;
-    live_routes = [];
+    session = Session.create ~fault model mesh [];
+    keys = Hashtbl.create 64;
     pending_shed = [];
     awake = Array.make nl true;
     idle_for = Array.make nl 0;
@@ -126,138 +117,28 @@ let create ?fault ?(idle_epochs = default_idle_epochs) ?wake_penalty
     rung_max = 0;
   }
 
-let live t = List.length t.live_routes
-
-let solution t =
-  Routing.Solution.make t.mesh (List.map snd t.live_routes)
-
+let live t = Session.live t.session
+let solution t = Session.solution t.session
 let pending t = t.pending_shed
 
-let add_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.add_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.add_walk eng w x) r.detours
+let park t s =
+  t.pending_shed <- t.pending_shed @ [ s ];
+  t.s_shed <- t.s_shed + 1
 
-let remove_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.remove_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.remove_walk eng w x) r.detours
-
-(* Canonical rebuild: fold the live routes in admission order over a
-   fresh engine, so {!Routing.Delta.report} is the very report a
-   from-scratch [Evaluate.of_loads] computes — negotiation and removal
-   arithmetic never leaks into the served state. *)
-let rebuild t =
-  let eng = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  List.iter (fun (_, r) -> add_route eng r) t.live_routes;
-  t.eng <- eng
-
-let route_crosses mesh over (r : Routing.Solution.route) =
-  let hit = ref false in
-  Routing.Solution.iter_route_links r (fun l ->
-      if over.(Noc.Mesh.link_id mesh l) then hit := true);
-  !hit
-
-(* Cheapest surviving Manhattan path, else shortest detour walk. *)
-let local_route t (comm : Traffic.Communication.t) =
-  bump_reroute ();
-  let loads = Routing.Delta.loads t.eng in
-  let sc = Routing.Delta.scorer_of t.eng in
-  match Routing.Repair.manhattan_usable_sc t.fault sc loads comm with
-  | Some p -> Some (Routing.Solution.route_single comm p)
-  | None ->
-      Option.map
-        (Routing.Solution.route_detour comm)
-        (Routing.Repair.detour t.fault t.mesh
-           ~src:comm.Traffic.Communication.src
-           ~snk:comm.Traffic.Communication.snk)
-
-(* Negotiate the live routes selected by [pred] on the current engine;
-   updates the route list in place (admission order preserved). *)
-let negotiate t ~iterations pred =
-  let lives = Array.of_list t.live_routes in
-  let idxs = ref [] in
-  for i = Array.length lives - 1 downto 0 do
-    if pred (snd lives.(i)) then idxs := i :: !idxs
-  done;
-  if iterations = 0 || !idxs = [] then (0, 0)
-  else begin
-    let idxs = Array.of_list !idxs in
-    let cand = Array.map (fun i -> snd lives.(i)) idxs in
-    let r = Pathfinder.refine ~iterations ~history:t.history t.eng cand in
-    Array.iteri
-      (fun k i -> lives.(i) <- (fst lives.(i), r.Pathfinder.routes.(k)))
-      idxs;
-    t.live_routes <- Array.to_list lives;
-    (r.Pathfinder.passes, r.Pathfinder.rips)
-  end
-
-let overload_mask t rep =
-  let over = Array.make (Noc.Mesh.num_links t.mesh) false in
-  List.iter
-    (fun ((l : Noc.Mesh.link), _) -> over.(Noc.Mesh.link_id t.mesh l) <- true)
-    rep.Routing.Evaluate.overloaded;
-  over
-
-exception No_offender
-
-(* Shed the lightest live route crossing a convicted link until the
-   state is feasible (the empty state is). *)
-let shed_until_feasible t ~reason shed_now =
-  let rep = ref (Routing.Delta.report t.eng) in
-  (try
-     while not !rep.Routing.Evaluate.feasible do
-       let over = overload_mask t !rep in
-       let pick = ref None in
-       List.iter
-         (fun (id, (r : Routing.Solution.route)) ->
-           if route_crosses t.mesh over r then
-             match !pick with
-             | Some (_, (p : Routing.Solution.route))
-               when p.comm.Traffic.Communication.rate
-                    <= r.comm.Traffic.Communication.rate ->
-                 ()
-             | _ -> pick := Some (id, r))
-         t.live_routes;
-       match !pick with
-       | None ->
-           (* Unreachable: an overloaded link carries some live route's
-              rate. Guarded anyway — shedding must never spin. *)
-           raise No_offender
-       | Some (id, r) ->
-           remove_route t.eng r;
-           t.live_routes <- List.filter (fun (i, _) -> i <> id) t.live_routes;
-           let s = { comm = r.comm; reason } in
-           t.pending_shed <- t.pending_shed @ [ s ];
-           t.s_shed <- t.s_shed + 1;
-           shed_now := s :: !shed_now;
-           rep := Routing.Delta.report t.eng
-     done
-   with No_offender -> ())
-
-(* Speculative readmission of the shed queue, oldest first: kept only
-   when the whole state stays feasible, rolled back bit-exactly
-   otherwise. *)
+(* Speculative readmission of the shed queue, oldest first; a readmitted
+   communication is appended. *)
 let readmit t reroutes readmitted =
   let still = ref [] in
   List.iter
     (fun s ->
       incr reroutes;
-      let kept = ref false in
-      (match local_route t s.comm with
-      | None -> ()
-      | Some r ->
-          let m = Routing.Delta.mark t.eng in
-          add_route t.eng r;
-          let rep = Routing.Delta.report t.eng in
-          if rep.Routing.Evaluate.feasible then begin
-            Routing.Delta.commit t.eng m;
-            t.live_routes <-
-              t.live_routes @ [ (s.comm.Traffic.Communication.id, r) ];
-            t.s_readmitted <- t.s_readmitted + 1;
-            readmitted := s.comm :: !readmitted;
-            kept := true
-          end
-          else Routing.Delta.rollback t.eng m);
-      if not !kept then still := s :: !still)
+      let key = Session.next_key t.session in
+      match Session.readmit t.session key s.comm with
+      | None -> still := s :: !still
+      | Some _ ->
+          Hashtbl.replace t.keys s.comm.Traffic.Communication.id key;
+          t.s_readmitted <- t.s_readmitted + 1;
+          readmitted := s.comm :: !readmitted)
     t.pending_shed;
   t.pending_shed <- List.rev !still
 
@@ -266,7 +147,7 @@ let readmit t reroutes readmitted =
    hysteresis switches it off. Dead links are outside the leakage pool
    (the fault already powered them down). *)
 let sleep_scan t =
-  let loads = Routing.Delta.loads t.eng in
+  let loads = Session.loads t.session in
   let wakes = ref 0
   and sleeps = ref 0
   and idle_awake = ref 0
@@ -305,52 +186,47 @@ let step t (event : Traffic.Trace.event) =
   let passes = ref 0
   and rips = ref 0
   and reroutes = ref 0 in
+  let sess = t.session in
   (match event.Traffic.Trace.kind with
   | Traffic.Trace.Arrive comm -> (
       t.s_arrivals <- t.s_arrivals + 1;
       incr reroutes;
-      match local_route t comm with
+      match Session.repair sess comm with
       | None ->
           (* The fault disconnects the endpoints: park the request for
              readmission once capacity returns. *)
           rung := 5;
           let s = { comm; reason = Recover.Disconnected } in
-          t.pending_shed <- t.pending_shed @ [ s ];
-          t.s_shed <- t.s_shed + 1;
+          park t s;
           shed_now := [ s ]
       | Some r ->
-          let m = Routing.Delta.mark t.eng in
-          add_route t.eng r;
-          let rep = Routing.Delta.report t.eng in
-          Routing.Delta.commit t.eng m;
-          t.live_routes <-
-            t.live_routes @ [ (comm.Traffic.Communication.id, r) ];
+          let key = Session.append sess r in
+          Hashtbl.replace t.keys comm.Traffic.Communication.id key;
+          let rep = Session.report sess in
           if rep.Routing.Evaluate.feasible then
             (* Clean admit: an append in admission order is already
                canonical — the O(path-length) fast path, no rebuild. *)
             admitted := true
           else begin
-            (* Escalate per the Recover ladder: neighborhood
-               negotiation, then global, then typed shedding. *)
+            (* Up the ladder of {!Session} from rung 3. *)
             rung := 3;
-            let over = overload_mask t rep in
-            let p3, r3 =
-              negotiate t ~iterations:t.refine_iterations
-                (route_crosses t.mesh over)
+            let tally = function
+              | Some (p, r) ->
+                  passes := !passes + p;
+                  rips := !rips + r
+              | None -> ()
             in
-            passes := !passes + p3;
-            rips := !rips + r3;
-            let rep = Routing.Delta.report t.eng in
-            if not rep.Routing.Evaluate.feasible then begin
+            let over = Session.overload_mask sess rep in
+            tally
+              (Session.negotiate sess ~iterations:t.refine_iterations
+                 (Session.crosses sess over));
+            if not (Session.report sess).Routing.Evaluate.feasible then begin
               rung := 4;
-              let p4, r4 =
-                negotiate t ~iterations:t.global_iterations (fun _ -> true)
-              in
-              passes := !passes + p4;
-              rips := !rips + r4
+              tally
+                (Session.negotiate sess ~iterations:t.global_iterations
+                   (fun _ -> true))
             end;
-            let rep = Routing.Delta.report t.eng in
-            if not rep.Routing.Evaluate.feasible then begin
+            if not (Session.report sess).Routing.Evaluate.feasible then begin
               rung := 5;
               (* Negotiation quits only at its sweep caps, so an
                  infeasible outcome with no caps configured means the
@@ -360,18 +236,22 @@ let step t (event : Traffic.Trace.event) =
                   Recover.Budget_exhausted
                 else Recover.Infeasible_overload
               in
-              shed_until_feasible t ~reason shed_now
+              List.iter
+                (fun (_, (r : Routing.Solution.route)) ->
+                  let s = { comm = r.comm; reason } in
+                  park t s;
+                  shed_now := s :: !shed_now)
+                (Session.shed sess (Session.report sess))
             end;
-            admitted :=
-              List.exists
-                (fun (id, _) -> id = comm.Traffic.Communication.id)
-                t.live_routes;
-            rebuild t
+            admitted := Session.find sess key <> None;
+            Session.rebuild sess
           end;
           if !admitted then t.s_admitted <- t.s_admitted + 1)
   | Traffic.Trace.Depart id -> (
       t.s_departures <- t.s_departures + 1;
-      match List.assoc_opt id t.live_routes with
+      let key = Hashtbl.find_opt t.keys id in
+      Hashtbl.remove t.keys id;
+      match Option.bind key (Session.remove sess) with
       | None ->
           (* Shed at admission (or unknown): the request gives up and
              leaves the retry queue. *)
@@ -380,49 +260,16 @@ let step t (event : Traffic.Trace.event) =
               (fun s -> s.comm.Traffic.Communication.id <> id)
               t.pending_shed
       | Some r ->
+          (* Local re-optimization of the freed neighborhood. *)
           let touched = Array.make (Noc.Mesh.num_links t.mesh) false in
           Routing.Solution.iter_route_links r (fun l ->
               touched.(Noc.Mesh.link_id t.mesh l) <- true);
-          remove_route t.eng r;
-          t.live_routes <-
-            List.filter (fun (i, _) -> i <> id) t.live_routes;
-          (* Local re-optimization of the freed neighborhood: every
-             live route crossing a released link gets one cheaper-path
-             retry, kept only when total power strictly drops. *)
-          t.live_routes <-
-            List.map
-              (fun (i, (r0 : Routing.Solution.route)) ->
-                if not (route_crosses t.mesh touched r0) then (i, r0)
-                else begin
-                  incr reroutes;
-                  let rep0 = Routing.Delta.report t.eng in
-                  let m = Routing.Delta.mark t.eng in
-                  remove_route t.eng r0;
-                  match local_route t r0.comm with
-                  | None ->
-                      Routing.Delta.rollback t.eng m;
-                      (i, r0)
-                  | Some r1 ->
-                      add_route t.eng r1;
-                      let rep1 = Routing.Delta.report t.eng in
-                      if
-                        rep1.Routing.Evaluate.feasible
-                        && rep1.Routing.Evaluate.total_power
-                           < rep0.Routing.Evaluate.total_power
-                      then begin
-                        Routing.Delta.commit t.eng m;
-                        rung := max !rung 2;
-                        (i, r1)
-                      end
-                      else begin
-                        Routing.Delta.rollback t.eng m;
-                        (i, r0)
-                      end
-                end)
-              t.live_routes;
+          let tries, improved = Session.reoptimize sess touched in
+          reroutes := !reroutes + tries;
+          if improved then rung := max !rung 2;
           if t.pending_shed <> [] then readmit t reroutes readmitted;
-          rebuild t));
-  let eval = Routing.Delta.report t.eng in
+          Session.rebuild sess));
+  let eval = Session.report sess in
   let wakes, sleeps, idle_awake, asleep = sleep_scan t in
   let p_leak = t.model.Power.Model.p_leak in
   let power =
@@ -536,26 +383,8 @@ let session t =
        else 1. -. (mean_power /. mean_power_nosleep));
     p50_work = quantile works 0.50;
     p95_work = quantile works 0.95;
-    final = Routing.Delta.report t.eng;
+    final = Session.report t.session;
   }
-
-(* Key the per-instance trace off the workload itself, like
-   {!Recover.schedule_rng}: [Heuristic.run] hands an engine no rng, but
-   hashing the communications gives every trial a stream that is a pure
-   function of its workload — reproducible and jobs-invariant. *)
-let trace_rng comms =
-  Traffic.Rng.of_key "serve-trace"
-    (List.concat_map
-       (fun (c : Traffic.Communication.t) ->
-         [
-           Int64.of_int c.id;
-           Int64.of_int c.src.Noc.Coord.row;
-           Int64.of_int c.src.Noc.Coord.col;
-           Int64.of_int c.snk.Noc.Coord.row;
-           Int64.of_int c.snk.Noc.Coord.col;
-           Int64.bits_of_float c.rate;
-         ])
-       comms)
 
 (* Churn weights spanning the workload's own rate band, so the passing
    traffic stresses the same capacity regime. *)
@@ -568,29 +397,22 @@ let band comms =
   in
   Traffic.Workload.weight ~lo ~hi
 
-(* Per-domain stash of the last [engine] run's session summary, for the
-   observability layer: the registry heuristic returns only the final
-   solution, so the campaign runner and audit capture read the serving
-   telemetry here right after running it. Domain-local (race-free under
-   the campaign pool); [take_session] clears, so a stale session can
-   never be mistaken for the following heuristic's. *)
-let session_key : session option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_session () =
-  let slot = Domain.DLS.get session_key in
-  let v = !slot in
-  slot := None;
-  v
+(* The session summary of the last [engine] run, for the campaign
+   runner and the audit capture. *)
+let summary = Routing.Heuristic.Stash.create ()
+let take_session () = Routing.Heuristic.Stash.take summary
 
 let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
     ?wake_penalty ?sleep ?fault model mesh comms =
-  if rate <= 0. then invalid_arg "Online.engine: rate <= 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Online.engine: rate must be finite and > 0";
   if churn < 0 then invalid_arg "Online.engine: churn < 0";
-  (Domain.DLS.get session_key) := None;
+  Routing.Heuristic.Stash.set summary None;
   if comms = [] then Routing.Solution.make mesh []
   else begin
-    let rng = trace_rng comms in
+    (* The trace is keyed on the workload itself, like the fault
+       schedule of {!Recover.engine}. *)
+    let rng = Traffic.Workload.keyed_rng "serve-trace" comms in
     let max_id =
       List.fold_left
         (fun m (c : Traffic.Communication.t) -> max m c.id)
@@ -605,13 +427,14 @@ let engine ?(rate = default_rate) ?(churn = default_churn) ?idle_epochs
     let events = Traffic.Trace.merge churn_events resident in
     let t = create ?fault ?idle_epochs ?wake_penalty ?sleep model mesh in
     ignore (serve t events);
-    (Domain.DLS.get session_key) := Some (session t);
+    Routing.Heuristic.Stash.set summary (Some (session t));
     solution t
   end
 
 let heuristic ?name ?rate ?sleep () =
   (match rate with
-  | Some r when r <= 0. -> invalid_arg "Online.heuristic: rate <= 0"
+  | Some r when not (Float.is_finite r && r > 0.) ->
+      invalid_arg "Online.heuristic: rate must be finite and > 0"
   | _ -> ());
   let name = match name with Some n -> n | None -> "SRV" in
   Routing.Heuristic.of_fault_aware ~name
@@ -626,29 +449,8 @@ let heuristic ?name ?rate ?sleep () =
     (fun ?fault model mesh comms -> engine ?rate ?sleep ?fault model mesh comms)
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "srv" in
-  if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 3 (String.length name - 3) in
-    let rate =
-      if rest = "" then Some default_rate
-      else
-        let rest =
-          if
-            String.length rest >= 2
-            && rest.[0] = '('
-            && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some r when r >= 1 -> Some (float_of_int r)
-        | _ -> None
-    in
-    Option.map
-      (fun rate ->
-        heuristic
-          ~name:(Printf.sprintf "SRV%d" (int_of_float rate))
-          ~rate ())
-      rate
+  Option.map
+    (fun rate ->
+      heuristic ~name:(Printf.sprintf "SRV%d" rate) ~rate:(float_of_int rate) ())
+    (Routing.Heuristic.family ~prefix:"srv"
+       ~default:(int_of_float default_rate) ~min:1 name)

@@ -2,19 +2,17 @@
     departures, idle-link switch-off, power over time.
 
     The batch model fixes a workload, routes it, evaluates it. This
-    engine instead {e serves} a {!Traffic.Trace}: each {b arrival} is
-    admitted by a delta-scored candidate path (the cheapest surviving
-    Manhattan path, else a detour walk) speculatively applied through
-    the {!Routing.Delta} mark/rollback journal; when admission
-    overloads a link, the engine escalates exactly like the
-    {!Recover} ladder — neighborhood PathFinder negotiation
-    ({!Pathfinder.refine} with persistent history), then global
-    negotiation, then typed shedding of the lightest offender. Each
-    {b departure} releases the communication's links and locally
-    re-optimizes its neighborhood (every live route crossing a freed
-    link gets one cheaper-path retry, kept only when the total power
-    strictly drops), then speculatively readmits previously-shed
-    communications.
+    engine instead {e serves} a {!Traffic.Trace} over the session and
+    ladder of {!Session}. Each {b arrival} is admitted on its local
+    route, appended in admission order; when that overloads a link the
+    engine climbs rungs 3–5 (neighborhood negotiation over the routes
+    crossing a convicted link, global negotiation, shedding) and parks
+    what it sheds for readmission. Each {b departure} releases the
+    communication's links, gives every live route crossing a freed link
+    one local retry kept only when the total power strictly drops
+    (rung 2), then offers the parked communications readmission, each
+    appended on success. Communication ids are assumed unique among the
+    requests in flight.
 
     {b Idle-link switch-off.} Leakage is first-order (~16.9 mW per
     active link in the Kim–Horowitz model), and the batch evaluator
@@ -35,8 +33,8 @@
     from-scratch {!Routing.Evaluate.of_loads} rescore on {!solution},
     on both [MANROUTE_DELTA] backends and at any worker-domain count.
     Arrivals admitted on the first try keep the invariant incrementally
-    (an append {e is} canonical, O(path length)); negotiation, shedding
-    and departures rebuild. *)
+    (an append {e is} canonical, O(path length)); a non-clean admission
+    and every departure rebuild. *)
 
 type shed = { comm : Traffic.Communication.t; reason : Recover.shed_reason }
 

@@ -205,19 +205,12 @@ let search model sc loads history ~capacity (comm : Traffic.Communication.t) =
       | Some (walk, _) -> Routing.Solution.route_detour comm walk
       | None -> raise (Routing.Repair.No_route comm))
 
-let add_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.add_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.add_walk eng w x) r.detours
-
-let remove_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.remove_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.remove_walk eng w x) r.detours
-
-let route_crosses mesh over (r : Routing.Solution.route) =
-  let hit = ref false in
-  Routing.Solution.iter_route_links r (fun l ->
-      if over.(Noc.Mesh.link_id mesh l) then hit := true);
-  !hit
+(* Indices [0, n) heaviest first, ties by position: the order every pass
+   (re)routes in. *)
+let heaviest_first n rate =
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Float.compare (rate b) (rate a)) order;
+  order
 
 type refinement = {
   routes : Routing.Solution.route array;
@@ -226,238 +219,140 @@ type refinement = {
   rips : int;
 }
 
-(* Negotiation over an existing journal: rip up and reroute only the
-   given routes (which the engine's loads must already contain), leaving
-   every other contribution in place. The recovery engine's rung-3/4
-   entry point — neighborhood passes hand in the routes crossing the
-   faulted region, global passes hand in everything live. [history] is
-   the caller's array so repulsion persists across calls (and across
-   fault events). *)
-let refine ?(iterations = default_iterations) ~history eng routes =
-  if iterations < 0 then invalid_arg "Pathfinder.refine: iterations < 0";
+(* Negotiation sweeps over [routes], whose contribution the engine's
+   loads already contain, rerouted in place. While sweeps remain and the
+   report convicts some link: grow the history of every convicted link by
+   one plus its effective overload factor (links that stay congested get
+   ever more repulsive), then rip up and reroute {e every} candidate
+   heaviest first, ties by position — the classic discipline: candidates
+   not crossing a convicted link also move, clearing the way for the ones
+   that do (offenders-only ripping oscillates on hard instances); only
+   offenders count as rips. Each reroute runs under a journal mark, so a
+   candidate whose endpoints are disconnected keeps its old route,
+   restored bit-exactly. Returns the sweeps run, the rips, and whether it
+   stopped on a feasible report (rather than at [sweeps]). *)
+let sweep ~sweeps ~history eng routes =
   let loads = Routing.Delta.loads eng in
   let sc = Routing.Delta.scorer_of eng in
   let model = Routing.Delta.model eng in
   let mesh = Noc.Load.mesh loads in
   let capacity = model.Power.Model.capacity in
-  let n = Array.length routes in
-  let routes = Array.copy routes in
-  (* Heaviest first, ties by input position — same discipline as
-     {!negotiate}. *)
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      Float.compare
-        routes.(b).Routing.Solution.comm.Traffic.Communication.rate
-        routes.(a).Routing.Solution.comm.Traffic.Communication.rate)
-    order;
-  let passes = ref 0 and rips = ref 0 in
-  let rep = ref (Routing.Delta.report eng) in
-  while (not !rep.Routing.Evaluate.feasible) && !passes < iterations do
-    incr passes;
-    bump_iterations ();
-    let over = Array.make (Noc.Mesh.num_links mesh) false in
-    List.iter
-      (fun ((l : Noc.Mesh.link), _) ->
-        let id = Noc.Mesh.link_id mesh l in
-        over.(id) <- true;
-        let o = Noc.Load.overload loads ~capacity id in
-        let o = if Float.is_finite o then o else 1. in
-        history.(id) <- history.(id) +. 1. +. o)
-      !rep.Routing.Evaluate.overloaded;
-    Array.iter
-      (fun i ->
-        let r = routes.(i) in
-        if route_crosses mesh over r then begin
-          incr rips;
-          bump_rips ()
-        end;
-        let m = Routing.Delta.mark eng in
-        match
-          remove_route eng r;
-          let r' =
-            search model sc loads history ~capacity r.Routing.Solution.comm
-          in
-          add_route eng r';
-          r'
-        with
-        | r' ->
-            Routing.Delta.commit eng m;
-            routes.(i) <- r'
-        | exception Routing.Repair.No_route _ ->
-            (* Keep the old route: the candidate set may shrink to a
-               usable state some other way (shedding); never escalate a
-               refinement into a crash. *)
-            Routing.Delta.rollback eng m)
-      order;
-    rep := Routing.Delta.report eng
-  done;
-  {
-    routes;
-    feasible = !rep.Routing.Evaluate.feasible;
-    passes = !passes;
-    rips = !rips;
-  }
+  let order =
+    heaviest_first (Array.length routes) (fun i ->
+        routes.(i).Routing.Solution.comm.Traffic.Communication.rate)
+  in
+  let reroute over rips i =
+    let r = routes.(i) in
+    let rips =
+      if Routing.Solution.route_crosses mesh over r then begin
+        bump_rips ();
+        rips + 1
+      end
+      else rips
+    in
+    let m = Routing.Delta.mark eng in
+    (match
+       Routing.Delta.remove_route eng r;
+       let r' =
+         search model sc loads history ~capacity r.Routing.Solution.comm
+       in
+       Routing.Delta.add_route eng r';
+       r'
+     with
+    | r' ->
+        Routing.Delta.commit eng m;
+        routes.(i) <- r'
+    | exception Routing.Repair.No_route _ -> Routing.Delta.rollback eng m);
+    rips
+  in
+  let rec loop passes rips =
+    if passes >= sweeps then (passes, rips, false)
+    else
+      let rep = Routing.Delta.report eng in
+      if rep.Routing.Evaluate.feasible then (passes, rips, true)
+      else begin
+        bump_iterations ();
+        let over = Array.make (Noc.Mesh.num_links mesh) false in
+        List.iter
+          (fun ((l : Noc.Mesh.link), _) ->
+            let id = Noc.Mesh.link_id mesh l in
+            over.(id) <- true;
+            let o = Noc.Load.overload loads ~capacity id in
+            let o = if Float.is_finite o then o else 1. in
+            history.(id) <- history.(id) +. 1. +. o)
+          rep.Routing.Evaluate.overloaded;
+        loop (passes + 1) (Array.fold_left (reroute over) rips order)
+      end
+  in
+  loop 0 0
 
+let refine ?(iterations = default_iterations) ~history eng routes =
+  if iterations < 0 then invalid_arg "Pathfinder.refine: iterations < 0";
+  let routes = Array.copy routes in
+  let passes, rips, settled = sweep ~sweeps:iterations ~history eng routes in
+  let feasible =
+    settled || (Routing.Delta.report eng).Routing.Evaluate.feasible
+  in
+  { routes; feasible; passes; rips }
+
+(* One initial pass routing everything heaviest first, then the
+   negotiation sweeps of {!refine} on a fresh history. *)
 let negotiate ?(iterations = default_iterations) ?fault model mesh comms =
   if iterations < 1 then invalid_arg "Pathfinder.negotiate: iterations < 1";
   Routing.Metrics.with_span "pathfinder" @@ fun () ->
   let eng = Routing.Delta.create ?fault model mesh in
   let loads = Routing.Delta.loads eng in
   let sc = Routing.Delta.scorer_of eng in
-  let capacity = model.Power.Model.capacity in
   let history = Array.make (Noc.Mesh.num_links mesh) 0. in
-  let comms_arr = Array.of_list comms in
-  let n = Array.length comms_arr in
-  (* Heaviest first, ties by input position: the order every pass
-     processes (re)routes in. *)
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      Float.compare comms_arr.(b).Traffic.Communication.rate
-        comms_arr.(a).Traffic.Communication.rate)
-    order;
-  let routes = Array.make n None in
-  let search_apply i =
-    let comm = comms_arr.(i) in
-    let r = search model sc loads history ~capacity comm in
-    add_route eng r;
-    routes.(i) <- Some r
-  in
-  (* Initial pass: route everything once. *)
+  let comms = Array.of_list comms in
+  let routed = Array.make (Array.length comms) None in
   bump_iterations ();
-  Array.iter search_apply order;
-  let passes = ref 1 in
-  let rips = ref 0 in
-  let continue = ref true in
-  while !continue && !passes < iterations do
-    let rep = Routing.Delta.report eng in
-    if rep.Routing.Evaluate.feasible then continue := false
-    else begin
-      incr passes;
-      bump_iterations ();
-      (* History grows on every link the report convicts, by one plus
-         its effective overload factor — links that stay congested get
-         ever more repulsive, the PathFinder negotiation. *)
-      let over = Array.make (Noc.Mesh.num_links mesh) false in
-      List.iter
-        (fun (l, _) ->
-          let id = Noc.Mesh.link_id mesh l in
-          over.(id) <- true;
-          let o = Noc.Load.overload loads ~capacity id in
-          let o = if Float.is_finite o then o else 1. in
-          history.(id) <- history.(id) +. 1. +. o)
-        rep.Routing.Evaluate.overloaded;
-      (* Classic PathFinder discipline: rip up and reroute {e every}
-         communication against the evolving loads, heaviest first —
-         nets not crossing any convicted link also move, clearing the
-         way for the ones that do (offenders-only ripping oscillates
-         on hard instances). Only offenders count as rips. The journal
-         mark makes a failed reroute (disconnection) restore the state
-         bit-exactly before the exception escapes. *)
-      Array.iter
-        (fun i ->
-          match routes.(i) with
-          | Some r ->
-              if route_crosses mesh over r then begin
-                incr rips;
-                bump_rips ()
-              end;
-              let m = Routing.Delta.mark eng in
-              (try
-                 remove_route eng r;
-                 search_apply i;
-                 Routing.Delta.commit eng m
-               with e ->
-                 Routing.Delta.rollback eng m;
-                 raise e)
-          | None -> ())
-        order
-    end
-  done;
+  Array.iter
+    (fun i ->
+      let r =
+        search model sc loads history ~capacity:model.Power.Model.capacity
+          comms.(i)
+      in
+      Routing.Delta.add_route eng r;
+      routed.(i) <- Some r)
+    (heaviest_first (Array.length comms) (fun i ->
+         comms.(i).Traffic.Communication.rate));
+  let routes = Array.map Option.get routed in
+  let passes, rips, _ = sweep ~sweeps:(iterations - 1) ~history eng routes in
   (* Canonical rebuild: re-accumulate the final routes in input order,
      exactly as {!Routing.Solution.loads} would, so the incremental
      report below is the very report a from-scratch
      [Evaluate.of_loads] computes on this solution — the rip-up
      history's float cancellations never leak into the result. *)
-  let final =
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> assert false (* all routed *))
-         routes)
-  in
-  let solution = Routing.Solution.make mesh final in
+  let final = Array.to_list routes in
   let canonical = Routing.Delta.create ?fault model mesh in
-  List.iter (add_route canonical) final;
-  let report = Routing.Delta.report canonical in
-  { solution; report; iterations = !passes; rips = !rips }
-
-let penalized_of ?fault model solution =
-  Routing.Evaluate.penalized model (Routing.Solution.loads ?fault solution)
-
-(* The single-path baseline the result is guarded against: best feasible
-   outcome of the registry, or the least-penalized one when every
-   heuristic fails (same policy as {!Smp.engine}). *)
-let baseline ?fault model mesh comms =
-  let outcomes = Routing.Best.run_all ?fault model mesh comms in
-  match Routing.Best.best_of outcomes with
-  | Some o -> o
-  | None ->
-      let scored =
-        List.map
-          (fun (o : Routing.Best.outcome) ->
-            (penalized_of ?fault model o.solution, o))
-          outcomes
-      in
-      snd
-        (List.fold_left
-           (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
-           (List.hd scored) (List.tl scored))
+  List.iter (Routing.Delta.add_route canonical) final;
+  {
+    solution = Routing.Solution.make mesh final;
+    report = Routing.Delta.report canonical;
+    iterations = 1 + passes;
+    rips;
+  }
 
 type annotation = { a_iterations : int; a_rips : int; a_kept : bool }
 
-(* Per-domain stash of the last [engine] run, for the observability
-   layer: a registry heuristic returns only a solution, so the audit
-   capture and [manroute inspect] read the negotiation stats here right
-   after running it. Domain-local, hence race-free under the campaign
-   pool; [take_annotation] clears, so a stale value can never be
-   mistaken for the following heuristic's. *)
-let annotation_key : annotation option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_annotation () =
-  let slot = Domain.DLS.get annotation_key in
-  let v = !slot in
-  slot := None;
-  v
+(* The negotiation stats of the last [engine] run, for [manroute inspect]
+   and the campaign audit capture. *)
+let annotation = Routing.Heuristic.Stash.create ()
+let take_annotation () = Routing.Heuristic.Stash.take annotation
 
 let engine ?iterations ?fault model mesh comms =
-  (Domain.DLS.get annotation_key) := None;
+  Routing.Heuristic.Stash.set annotation None;
   if comms = [] then Routing.Solution.make mesh []
   else begin
     let pf = negotiate ?iterations ?fault model mesh comms in
-    let base = baseline ?fault model mesh comms in
-    (* Never worse than the best single-path heuristic: feasible-first,
-       then total power, penalized power when both fail. *)
-    let base_report = base.Routing.Best.report in
-    let keep_pf =
-      match
-        (pf.report.Routing.Evaluate.feasible,
-         base_report.Routing.Evaluate.feasible)
-      with
-      | true, false -> true
-      | false, true -> false
-      | true, true ->
-          pf.report.Routing.Evaluate.total_power
-          <= base_report.Routing.Evaluate.total_power
-      | false, false ->
-          penalized_of ?fault model pf.solution
-          <= penalized_of ?fault model base.Routing.Best.solution
+    let base = Routing.Best.baseline ?fault model mesh comms in
+    let kept =
+      Routing.Best.no_worse ?fault model pf.solution pf.report ~than:base
     in
-    (Domain.DLS.get annotation_key) :=
-      Some
-        { a_iterations = pf.iterations; a_rips = pf.rips; a_kept = keep_pf };
-    if keep_pf then pf.solution else base.Routing.Best.solution
+    Routing.Heuristic.Stash.set annotation
+      (Some { a_iterations = pf.iterations; a_rips = pf.rips; a_kept = kept });
+    if kept then pf.solution else base.Routing.Best.solution
   end
 
 let heuristic ?name ?iterations () =
@@ -474,26 +369,8 @@ let heuristic ?name ?iterations () =
     (fun ?fault model mesh comms -> engine ?iterations ?fault model mesh comms)
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "pf" in
-  if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 2 (String.length name - 2) in
-    let iterations =
-      if rest = "" then Some default_iterations
-      else
-        let rest =
-          if String.length rest >= 2
-             && rest.[0] = '('
-             && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some i when i >= 1 -> Some i
-        | _ -> None
-    in
-    Option.map
-      (fun iterations ->
-        heuristic ~name:(Printf.sprintf "PF%d" iterations) ~iterations ())
-      iterations
+  Option.map
+    (fun iterations ->
+      heuristic ~name:(Printf.sprintf "PF%d" iterations) ~iterations ())
+    (Routing.Heuristic.family ~prefix:"pf" ~default:default_iterations ~min:1
+       name)

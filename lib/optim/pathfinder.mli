@@ -48,9 +48,9 @@ val negotiate :
   Traffic.Communication.t list ->
   outcome
 (** The raw engine: route everything once (heaviest communication
-    first), then rip-up-and-reroute every communication crossing an
-    overloaded link until the report is feasible or [iterations]
-    (default 32, must be >= 1) sweeps have run. Deterministic: no
+    first), then run {!refine}'s negotiation sweeps on a fresh history
+    until the report is feasible or [iterations] (default 32, must be
+    >= 1) passes have run, the initial one included. Deterministic: no
     randomness, fixed processing order, canonical final accounting.
     Raises {!Routing.Repair.No_route} when a communication's endpoints
     are disconnected by the fault. *)
@@ -79,7 +79,7 @@ val refine :
     links, so repulsion persists across calls. A candidate whose
     endpoints are disconnected keeps its old route (rolled back
     bit-exactly) instead of raising. Bumps [pf_iterations]/[pf_rips].
-    The incremental recovery engine's neighborhood and global rungs. *)
+    The negotiation rungs of {!Session}. *)
 
 val engine :
   ?iterations:int ->

@@ -16,10 +16,6 @@ let bump_rung r =
   let m = Routing.Metrics.current () in
   m.Routing.Metrics.recover_rung_max <- m.Routing.Metrics.recover_rung_max + r
 
-let bump_reroute () =
-  let m = Routing.Metrics.current () in
-  m.Routing.Metrics.detour_searches <- m.Routing.Metrics.detour_searches + 1
-
 type shed_reason = Disconnected | Budget_exhausted | Infeasible_overload
 
 let reason_to_string = function
@@ -48,25 +44,20 @@ type report = {
 }
 
 type t = {
-  model : Power.Model.t;
   mesh : Noc.Mesh.t;
-  mutable fault : Noc.Fault.t;
+  session : Session.t;
+      (* keyed by position in the adopted solution: its order is the
+         canonical one, and a readmitted communication regains its slot *)
   comms : Traffic.Communication.t array;
-  routes : Routing.Solution.route option array;
   reasons : shed_reason option array;
-  history : float array;
   rung3_iterations : int;
   rung4_iterations : int;
   budget : int;
   mutable power : float;
 }
 
-let fault t = t.fault
-
-let live_routes t =
-  List.filter_map Fun.id (Array.to_list t.routes)
-
-let solution t = Routing.Solution.make t.mesh (live_routes t)
+let fault t = Session.fault t.session
+let solution t = Session.solution t.session
 
 let shed t =
   let out = ref [] in
@@ -92,60 +83,32 @@ let create ?fault ?(rung3_iterations = default_rung3_iterations)
   let fault =
     match fault with Some f -> f | None -> Noc.Fault.healthy mesh
   in
-  let routes = Array.of_list (Routing.Solution.routes solution) in
+  let routes = Routing.Solution.routes solution in
   let power =
     (Routing.Evaluate.solution ~fault model solution)
       .Routing.Evaluate.total_power
   in
   {
-    model;
     mesh;
-    fault;
-    comms = Array.map (fun (r : Routing.Solution.route) -> r.comm) routes;
-    routes = Array.map Option.some routes;
-    reasons = Array.map (fun _ -> None) routes;
-    history = Array.make (Noc.Mesh.num_links mesh) 0.;
+    session = Session.create ~fault model mesh routes;
+    comms =
+      Array.of_list (List.map (fun (r : Routing.Solution.route) -> r.comm) routes);
+    reasons = Array.make (List.length routes) None;
     rung3_iterations;
     rung4_iterations;
     budget;
     power;
   }
 
-let add_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.add_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.add_walk eng w x) r.detours
-
-let remove_route eng (r : Routing.Solution.route) =
-  List.iter (fun (p, x) -> Routing.Delta.remove_path eng p x) r.paths;
-  List.iter (fun (w, x) -> Routing.Delta.remove_walk eng w x) r.detours
-
-let route_crosses mesh over (r : Routing.Solution.route) =
-  let hit = ref false in
-  Routing.Solution.iter_route_links r (fun l ->
-      if over.(Noc.Mesh.link_id mesh l) then hit := true);
-  !hit
-
-(* Rung-2-style local repair: the cheapest surviving Manhattan path of
-   the rectangle, else the shortest surviving detour walk, else None. *)
-let local_route t sc loads (comm : Traffic.Communication.t) =
-  bump_reroute ();
-  match Routing.Repair.manhattan_usable_sc t.fault sc loads comm with
-  | Some p -> Some (Routing.Solution.route_single comm p)
-  | None ->
-      Option.map
-        (Routing.Solution.route_detour comm)
-        (Routing.Repair.detour t.fault t.mesh ~src:comm.src ~snk:comm.snk)
-
-exception No_offender
-
+(* One fault event up the ladder of {!Session} (see recover.mli). The
+   engine is fresh at the event's start ([Session.keep]) and rebuilt
+   canonically at its end, so [eval] bit-matches [Evaluate.of_loads] on
+   {!solution}. *)
 let step t event =
   bump_events ();
   Routing.Metrics.with_span "recover" @@ fun () ->
   let before = Routing.Metrics.snapshot () in
-  t.fault <- Noc.Fault.Schedule.apply t.fault event;
-  let eng = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  let loads = Routing.Delta.loads eng in
-  let sc = Routing.Delta.scorer_of eng in
+  let s = t.session in
   let n = Array.length t.comms in
   let rung = ref 1 in
   let reroutes = ref 0 in
@@ -154,165 +117,79 @@ let step t event =
   let shed_this_event = Array.make n false in
   let shed i reason =
     bump_sheds ();
-    t.routes.(i) <- None;
     t.reasons.(i) <- Some reason;
     shed_this_event.(i) <- true;
     shed_now := { comm = t.comms.(i); reason } :: !shed_now
   in
-  (* Rung 1: keep every route whose links all survive. *)
-  let severed = ref [] in
-  for i = 0 to n - 1 do
-    match t.routes.(i) with
-    | Some r ->
-        if Routing.Repair.route_usable t.fault r then add_route eng r
-        else begin
-          t.routes.(i) <- None;
-          severed := i :: !severed
-        end
-    | None -> ()
-  done;
-  let severed = List.rev !severed in
-  (* Rung 2: minimal local repair of the severed routes, in solution
-     order against the running loads (the {!Routing.Repair} pass,
-     incrementally). A disconnected communication is shed right away —
-     graceful degradation, the ladder's bottom rung. *)
+  let severed =
+    Session.keep s (Noc.Fault.Schedule.apply (Session.fault s) event)
+  in
   if severed <> [] then rung := 2;
   List.iter
-    (fun i ->
+    (fun (i, _) ->
       incr reroutes;
-      match local_route t sc loads t.comms.(i) with
-      | Some r ->
-          add_route eng r;
-          t.routes.(i) <- Some r
+      match Session.repair s t.comms.(i) with
+      | Some r -> Session.add s i r
       | None ->
           rung := 5;
           shed i Disconnected)
     severed;
   let budget_left = ref t.budget in
   let truncated = ref false in
-  let rep = ref (Routing.Delta.report eng) in
-  let refine_rung level ~configured idxs =
+  let rep = ref (Session.report s) in
+  let negotiate level ~configured pick =
     let iterations = min configured !budget_left in
     if iterations < configured then truncated := true;
-    if iterations > 0 && idxs <> [] then begin
-      rung := max !rung level;
-      let idxs = Array.of_list idxs in
-      let cand = Array.map (fun i -> Option.get t.routes.(i)) idxs in
-      let r = Pathfinder.refine ~iterations ~history:t.history eng cand in
-      budget_left := !budget_left - r.Pathfinder.passes;
-      passes := !passes + r.Pathfinder.passes;
-      rips := !rips + r.Pathfinder.rips;
-      Array.iteri (fun k i -> t.routes.(i) <- Some r.Pathfinder.routes.(k)) idxs;
-      rep := Routing.Delta.report eng
-    end
+    match Session.negotiate s ~iterations pick with
+    | None -> ()
+    | Some (p, r) ->
+        rung := max !rung level;
+        budget_left := !budget_left - p;
+        passes := !passes + p;
+        rips := !rips + r;
+        rep := Session.report s
   in
   if not !rep.Routing.Evaluate.feasible then begin
-    (* Rung 3: neighborhood negotiation — only the live routes crossing
-       the links this event touched or the report convicts. *)
-    let over = Array.make (Noc.Mesh.num_links t.mesh) false in
+    (* The neighborhood: routes crossing a link the event touched or the
+       report convicts. *)
+    let over = Session.overload_mask s !rep in
     List.iter
       (fun l -> over.(Noc.Mesh.link_id t.mesh l) <- true)
       (Noc.Fault.Schedule.touched t.mesh event);
-    List.iter
-      (fun ((l : Noc.Mesh.link), _) -> over.(Noc.Mesh.link_id t.mesh l) <- true)
-      !rep.Routing.Evaluate.overloaded;
-    let neighborhood = ref [] in
-    for i = n - 1 downto 0 do
-      match t.routes.(i) with
-      | Some r when route_crosses t.mesh over r -> neighborhood := i :: !neighborhood
-      | _ -> ()
-    done;
-    refine_rung 3 ~configured:t.rung3_iterations !neighborhood;
-    (* Rung 4: global negotiation over every live route. *)
-    if not !rep.Routing.Evaluate.feasible then begin
-      let all = ref [] in
-      for i = n - 1 downto 0 do
-        match t.routes.(i) with
-        | Some _ -> all := i :: !all
-        | None -> ()
-      done;
-      refine_rung 4 ~configured:t.rung4_iterations !all
-    end;
-    (* Rung 5: graceful degradation — shed the lightest live route
-       crossing a convicted link until the remainder is feasible. The
-       loop terminates: an overloaded link carries load, so some live
-       route crosses it, and the empty solution is feasible. *)
+    negotiate 3 ~configured:t.rung3_iterations (Session.crosses s over);
+    if not !rep.Routing.Evaluate.feasible then
+      negotiate 4 ~configured:t.rung4_iterations (fun _ -> true);
     if not !rep.Routing.Evaluate.feasible then begin
       rung := 5;
       let reason =
         if !truncated then Budget_exhausted else Infeasible_overload
       in
-      try
-        while not !rep.Routing.Evaluate.feasible do
-          let over = Array.make (Noc.Mesh.num_links t.mesh) false in
-          List.iter
-            (fun ((l : Noc.Mesh.link), _) ->
-              over.(Noc.Mesh.link_id t.mesh l) <- true)
-            !rep.Routing.Evaluate.overloaded;
-          let pick = ref (-1) in
-          for i = 0 to n - 1 do
-            match t.routes.(i) with
-            | Some r when route_crosses t.mesh over r ->
-                if
-                  !pick < 0
-                  || t.comms.(i).Traffic.Communication.rate
-                     < t.comms.(!pick).Traffic.Communication.rate
-                then pick := i
-            | _ -> ()
-          done;
-          (* Unreachable: every overloaded link carries some live
-             route's rate. Guarded anyway — shedding must never spin. *)
-          if !pick < 0 then raise No_offender;
-          remove_route eng (Option.get t.routes.(!pick));
-          shed !pick reason;
-          rep := Routing.Delta.report eng
-        done
-      with No_offender -> ()
+      List.iter (fun (i, _) -> shed i reason) (Session.shed s !rep)
     end
   end;
-  (* Readmission: previously-shed communications get one speculative
-     try per event (capacity may have returned via [Restore], or other
-     routes moved away). Kept only when the whole state stays feasible;
-     rolled back bit-exactly otherwise. *)
   let readmitted = ref [] in
   for i = 0 to n - 1 do
-    match (t.routes.(i), t.reasons.(i)) with
-    | None, Some _ when not shed_this_event.(i) -> (
-        incr reroutes;
-        match local_route t sc loads t.comms.(i) with
-        | None -> ()
-        | Some r ->
-            let m = Routing.Delta.mark eng in
-            add_route eng r;
-            let rep' = Routing.Delta.report eng in
-            if rep'.Routing.Evaluate.feasible then begin
-              Routing.Delta.commit eng m;
-              t.routes.(i) <- Some r;
-              t.reasons.(i) <- None;
-              readmitted := t.comms.(i) :: !readmitted
-            end
-            else Routing.Delta.rollback eng m)
-    | _ -> ()
+    if t.reasons.(i) <> None && not shed_this_event.(i) then begin
+      incr reroutes;
+      if Session.readmit s i t.comms.(i) <> None then begin
+        t.reasons.(i) <- None;
+        readmitted := t.comms.(i) :: !readmitted
+      end
+    end
   done;
   bump_rung !rung;
-  (* Canonical rebuild: accumulate the surviving routes in solution
-     order on a fresh engine, so [eval] is the very report a
-     from-scratch [Evaluate.of_loads] computes on {!solution} — the
-     event's rip-up arithmetic never leaks into the result. *)
-  let final = live_routes t in
-  let canonical = Routing.Delta.create ~fault:t.fault t.model t.mesh in
-  List.iter (add_route canonical) final;
-  let eval = Routing.Delta.report canonical in
+  Session.rebuild s;
+  let eval = Session.report s in
+  let live = Session.live s in
   let power_before = t.power in
   t.power <- eval.Routing.Evaluate.total_power;
   {
     event;
     rung = !rung;
-    live = List.length final;
+    live;
     shed_now = List.rev !shed_now;
     readmitted = List.rev !readmitted;
-    survival =
-      (if n = 0 then 1. else float_of_int (List.length final) /. float_of_int n);
+    survival = (if n = 0 then 1. else float_of_int live /. float_of_int n);
     power_before;
     power_after = eval.Routing.Evaluate.total_power;
     eval;
@@ -335,78 +212,29 @@ let run ?fault ?rung3_iterations ?rung4_iterations ?budget model solution
   let reports = List.map (step t) (Noc.Fault.Schedule.events schedule) in
   (t, reports)
 
-(* Key the per-instance schedule off the workload itself: [Heuristic.run]
-   hands an engine no rng, but hashing the communications through
-   {!Traffic.Rng.of_key} gives every trial a schedule that is a pure
-   function of its workload — reproducible, jobs-invariant, and nested
-   across paired sweeps exactly like the workload is. *)
-let schedule_rng comms =
-  Traffic.Rng.of_key "recover-schedule"
-    (List.concat_map
-       (fun (c : Traffic.Communication.t) ->
-         [
-           Int64.of_int c.id;
-           Int64.of_int c.src.Noc.Coord.row;
-           Int64.of_int c.src.Noc.Coord.col;
-           Int64.of_int c.snk.Noc.Coord.row;
-           Int64.of_int c.snk.Noc.Coord.col;
-           Int64.bits_of_float c.rate;
-         ])
-       comms)
-
-let penalized_of ?fault model solution =
-  Routing.Evaluate.penalized model (Routing.Solution.loads ?fault solution)
-
-(* Start from the best single-path heuristic, or the least-penalized
-   outcome when all fail — the same baseline policy as {!Pathfinder}. *)
-let baseline ?fault model mesh comms =
-  let outcomes = Routing.Best.run_all ?fault model mesh comms in
-  let o =
-    match Routing.Best.best_of outcomes with
-    | Some o -> o
-    | None ->
-        let scored =
-          List.map
-            (fun (o : Routing.Best.outcome) ->
-              (penalized_of ?fault model o.solution, o))
-            outcomes
-        in
-        snd
-          (List.fold_left
-             (fun (c, best) (c', o) -> if c' < c then (c', o) else (c, best))
-             (List.hd scored) (List.tl scored))
-  in
-  o.Routing.Best.solution
-
-(* Per-domain stash of the last [engine] run's per-event reports, for
-   the observability layer: the registry heuristic returns only the
-   surviving solution, so the audit capture and [manroute inspect] read
-   the rung/shed timeline here right after running it. Domain-local
-   (race-free under the campaign pool); [take_reports] clears, so a
-   stale timeline can never be mistaken for the following heuristic's. *)
-let reports_key : report list option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_reports () =
-  let slot = Domain.DLS.get reports_key in
-  let v = !slot in
-  slot := None;
-  v
+(* The per-event timeline of the last [engine] run, for [manroute
+   inspect] and the campaign audit capture. *)
+let reports = Routing.Heuristic.Stash.create ()
+let take_reports () = Routing.Heuristic.Stash.take reports
 
 let engine ?(events = default_events) ?fault model mesh comms =
   if events < 0 then invalid_arg "Recover.engine: events < 0";
-  (Domain.DLS.get reports_key) := None;
+  Routing.Heuristic.Stash.set reports None;
   if comms = [] then Routing.Solution.make mesh []
   else begin
-    let base = baseline ?fault model mesh comms in
-    let rng = schedule_rng comms in
+    let base = Routing.Best.baseline ?fault model mesh comms in
+    (* The schedule is keyed on the workload itself: [Heuristic.run]
+       hands an engine no rng, and this keeps every trial's schedule
+       reproducible, jobs-invariant and nested across paired sweeps
+       exactly like the workload. *)
+    let rng = Traffic.Workload.keyed_rng "recover-schedule" comms in
     let schedule =
       Noc.Fault.Schedule.random ?init:fault
         ~choose:(fun b -> Traffic.Rng.int rng b)
         ~events mesh
     in
-    let t, reports = run ?fault model base schedule in
-    (Domain.DLS.get reports_key) := Some reports;
+    let t, timeline = run ?fault model base.Routing.Best.solution schedule in
+    Routing.Heuristic.Stash.set reports (Some timeline);
     solution t
   end
 
@@ -424,27 +252,6 @@ let heuristic ?name ?events () =
     (fun ?fault model mesh comms -> engine ?events ?fault model mesh comms)
 
 let find name =
-  let name = String.lowercase_ascii (String.trim name) in
-  let prefix = "rec" in
-  if not (String.starts_with ~prefix name) then None
-  else
-    let rest = String.sub name 3 (String.length name - 3) in
-    let events =
-      if rest = "" then Some default_events
-      else
-        let rest =
-          if
-            String.length rest >= 2
-            && rest.[0] = '('
-            && rest.[String.length rest - 1] = ')'
-          then String.sub rest 1 (String.length rest - 2)
-          else rest
-        in
-        match int_of_string_opt rest with
-        | Some e when e >= 0 -> Some e
-        | _ -> None
-    in
-    Option.map
-      (fun events ->
-        heuristic ~name:(Printf.sprintf "REC%d" events) ~events ())
-      events
+  Option.map
+    (fun events -> heuristic ~name:(Printf.sprintf "REC%d" events) ~events ())
+    (Routing.Heuristic.family ~prefix:"rec" ~default:default_events ~min:0 name)

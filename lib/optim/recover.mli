@@ -5,25 +5,13 @@
     this engine measures surviving topology change {e under} an
     already-routed solution — the regime an online routing service lives
     in. A {!Noc.Fault.Schedule} replays a timeline of kill / degrade /
-    restore events; on each event {!step} repairs the current solution
-    through a bounded escalation ladder, every rung scored through the
-    {!Routing.Delta} mark/rollback journal:
-
-    + {b keep} — routes whose links all survive stay untouched;
-    + {b local repair} — severed routes take the cheapest surviving
-      Manhattan path, or a shortest detour walk
-      ({!Routing.Repair.manhattan_usable_sc} / {!Routing.Repair.detour});
-    + {b neighborhood negotiation} — PathFinder rip-up-and-reroute
-      ({!Pathfinder.refine}) restricted to the routes crossing the
-      faulted or overloaded links, under a small iteration budget;
-    + {b global negotiation} — the same engine over every live route;
-    + {b graceful degradation} — typed shedding of the lightest
-      offending communications until the remainder is feasible. Never a
-      crash: the empty solution is feasible.
-
-    Negotiation history persists across events (links that keep failing
-    stay repulsive), and previously-shed communications are speculatively
-    readmitted after each event once capacity returns.
+    restore events; on each event {!step} climbs the escalation ladder
+    stated in {!Session}: rung 1 keeps the routes the event spared, rung
+    2 repairs the severed ones locally in solution order, rungs 3 and 4
+    negotiate the neighborhood (routes crossing the event's links or a
+    convicted link) and then every live route under the per-event budget,
+    rung 5 sheds with a typed reason, and communications shed by earlier
+    events get one readmission try back into their old slot.
 
     Everything is deterministic: schedules come from the seeded
     [choose]-callback style, repair processes routes in solution order,

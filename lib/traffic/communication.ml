@@ -4,6 +4,8 @@ let make ~id ~src ~snk ~rate =
   if Noc.Coord.equal src snk then
     invalid_arg
       (Format.asprintf "Communication.make: src = snk = %a" Noc.Coord.pp src);
+  if not (Float.is_finite rate) then
+    invalid_arg "Communication.make: rate not finite";
   if rate <= 0. then invalid_arg "Communication.make: rate <= 0";
   { id; src; snk; rate }
 

@@ -8,11 +8,12 @@ type t = private {
   id : int;  (** Unique within a problem instance. *)
   src : Noc.Coord.t;
   snk : Noc.Coord.t;
-  rate : float;  (** Requested bandwidth [delta_i], > 0. *)
+  rate : float;  (** Requested bandwidth [delta_i], finite and > 0. *)
 }
 
 val make : id:int -> src:Noc.Coord.t -> snk:Noc.Coord.t -> rate:float -> t
-(** @raise Invalid_argument if [src = snk] or [rate <= 0]. *)
+(** @raise Invalid_argument if [src = snk] or [rate] is not a finite
+    positive number (NaN and infinities included). *)
 
 val length : t -> int
 (** Manhattan distance between the endpoints, i.e. the length [l_i] of every

@@ -62,7 +62,8 @@ let hotspot_core mesh =
 
 let generate ?(id_base = 0) rng mesh ~profile ~arrivals ~rate ~weight =
   if arrivals < 0 then invalid_arg "Trace.generate: arrivals < 0";
-  if rate <= 0. then invalid_arg "Trace.generate: rate <= 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Trace.generate: rate must be finite and > 0";
   (* Four diurnal cycles over the trace's expected horizon. *)
   let period = float_of_int (max 1 arrivals) /. rate /. 4. in
   let hotspot = hotspot_core mesh in
@@ -108,7 +109,8 @@ let generate ?(id_base = 0) rng mesh ~profile ~arrivals ~rate ~weight =
   sort_events !events
 
 let persistent rng ~rate comms =
-  if rate <= 0. then invalid_arg "Trace.persistent: rate <= 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Trace.persistent: rate must be finite and > 0";
   let t = ref 0. in
   sort_events
     (List.map

@@ -55,13 +55,14 @@ val generate :
     profile's process at mean [rate] per unit time, and a bounded
     lifetime each — [2×arrivals] events in total, every arrival
     eventually departing.
-    @raise Invalid_argument if [arrivals < 0] or [rate <= 0.]. *)
+    @raise Invalid_argument if [arrivals < 0] or [rate] is not finite
+    and positive. *)
 
 val persistent : Rng.t -> rate:float -> Communication.t list -> event list
 (** Poisson arrivals (no departures) of the given communications, in
     list order — the resident workload an online engine routes while
     churn flows around it.
-    @raise Invalid_argument if [rate <= 0.]. *)
+    @raise Invalid_argument if [rate] is not finite and positive. *)
 
 val merge : event list -> event list -> event list
 (** Interleave two streams under the global event order (time, then

@@ -18,6 +18,20 @@ let random_core rng mesh =
     ~row:(Rng.range rng ~lo:1 ~hi:(Noc.Mesh.rows mesh))
     ~col:(Rng.range rng ~lo:1 ~hi:(Noc.Mesh.cols mesh))
 
+let keyed_rng label comms =
+  Rng.of_key label
+    (List.concat_map
+       (fun (c : Communication.t) ->
+         [
+           Int64.of_int c.id;
+           Int64.of_int c.src.Noc.Coord.row;
+           Int64.of_int c.src.Noc.Coord.col;
+           Int64.of_int c.snk.Noc.Coord.row;
+           Int64.of_int c.snk.Noc.Coord.col;
+           Int64.bits_of_float c.rate;
+         ])
+       comms)
+
 let random_pair rng mesh =
   let src = random_core rng mesh in
   let rec draw () =

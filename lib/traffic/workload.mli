@@ -26,6 +26,12 @@ val around : float -> weight
 (** [around avg] is U\[avg-250, avg+250\] clamped to stay positive — the
     Figure 8 sweep (see DESIGN.md, under-specified detail #1). *)
 
+val keyed_rng : string -> Communication.t list -> Rng.t
+(** A generator keyed on the label and the communications themselves
+    (ids, endpoints, rate bits): a pure function of the workload, so an
+    engine that receives no rng still draws reproducibly and
+    independently of how trials are sharded over domains. *)
+
 val random_pair : Rng.t -> Noc.Mesh.t -> Noc.Coord.t * Noc.Coord.t
 (** A uniformly random ordered pair of {e distinct} cores. *)
 

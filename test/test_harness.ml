@@ -318,7 +318,12 @@ let test_problem_errors () =
   expect_error "mesh 2 2\ncomm 1 1 5 5 100";
   expect_error "mesh 2 2\ncomm 1 1 2 2 -5";
   expect_error "mesh 2 2\ncomm 1 1 1 1 100";
-  expect_error "mesh 2 2\nnonsense line"
+  expect_error "mesh 2 2\nnonsense line";
+  (* Non-finite rates are typed errors, never a failed assertion in a
+     heuristic downstream. *)
+  expect_error "mesh 4 4\ncomm 1 1 3 3 nan";
+  expect_error "mesh 4 4\ncomm 1 1 3 3 inf";
+  expect_error "mesh 4 4\ncomm 1 1 3 3 -inf"
 
 (* ------------------------------------------------------------------ *)
 (* Crash safety: error isolation and checkpoints *)

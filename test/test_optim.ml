@@ -226,6 +226,46 @@ let prop_single_path_feasible_implies_fractional =
       (not some_feasible)
       || Optim.Frank_wolfe.fractionally_feasible ~iterations:600 km mesh comms)
 
+(* One parser serves the four parameterised engine families: bare name
+   for the default, NAME(N) or NAMEN with decimal digits only, any case,
+   surrounding whitespace ignored, each family's minimum enforced. A
+   spelling resolves in at most one family. *)
+let test_family_spellings () =
+  let resolve spelling =
+    List.filter_map
+      (fun find ->
+        Option.map (fun h -> h.Routing.Heuristic.name) (find spelling))
+      [ Optim.Pathfinder.find; Optim.Recover.find; Optim.Online.find;
+        Optim.Smp.find ]
+  in
+  List.iter
+    (fun (spelling, want) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%S" spelling)
+        (Option.to_list want) (resolve spelling))
+    [
+      (* defaults *)
+      ("pf", Some "PF32"); ("rec", Some "REC8"); ("srv", Some "SRV8");
+      ("smp", Some "SMP4");
+      (* NAME(N), NAMEN, case, surrounding whitespace *)
+      ("pf(16)", Some "PF16"); ("REC(12)", Some "REC12");
+      ("SRV(4)", Some "SRV4"); ("smp(8)", Some "SMP8"); ("Pf8", Some "PF8");
+      ("rEc3", Some "REC3"); ("SRV2", Some "SRV2"); ("SmP2", Some "SMP2");
+      ("  pf4 ", Some "PF4"); ("\trec0\n", Some "REC0"); (" srv1", Some "SRV1");
+      ("smp3 ", Some "SMP3"); ("pf08", Some "PF8");
+      (* minimums: pf >= 1, rec >= 0, srv >= 1, smp >= 1 *)
+      ("pf0", None); ("pf1", Some "PF1"); ("rec0", Some "REC0");
+      ("rec-1", None); ("srv0", None); ("srv1", Some "SRV1"); ("smp0", None);
+      ("smp1", Some "SMP1");
+      (* non-decimal spellings *)
+      ("pf0x10", None); ("pf+3", None); ("rec0b11", None); ("srv1_0", None);
+      ("smp0o7", None); ("pf-1", None); ("pf()", None); ("pf(8", None);
+      ("pf 8", None); ("rec( 2 )", None); ("pfx", None); ("recx", None);
+      ("srvx", None); ("pf99999999999999999999", None);
+      (* other names *)
+      ("xy", None); ("best", None); ("", None);
+    ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "optim"
@@ -247,6 +287,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_fw_bounds_exact_dynamic;
           QCheck_alcotest.to_alcotest prop_fw_objective_decreases;
         ] );
+      ("registry", [ quick "family spellings" test_family_spellings ]);
       ( "fractional feasibility",
         [
           quick "splittable instance" test_min_overload_zero_when_splittable;

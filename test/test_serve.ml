@@ -133,6 +133,17 @@ let test_trace_validation_and_merge () =
     (raises (fun () ->
          Traffic.Trace.persistent (rng ()) ~rate:0.
            [ comm 0 1 1 2 2 100. ]));
+  List.iter
+    (fun rate ->
+      check_bool (Printf.sprintf "rate %g rejected" rate) true
+        (raises (fun () ->
+             Traffic.Trace.generate (rng ()) mesh
+               ~profile:Traffic.Trace.Poisson ~arrivals:4 ~rate
+               ~weight:Traffic.Workload.mixed));
+      check_bool (Printf.sprintf "persistent rate %g rejected" rate) true
+        (raises (fun () ->
+             Traffic.Trace.persistent (rng ()) ~rate [ comm 0 1 1 2 2 100. ])))
+    [ Float.nan; Float.infinity ];
   check_int "zero arrivals is the empty trace" 0
     (List.length
        (Traffic.Trace.generate (rng ()) mesh ~profile:Traffic.Trace.Burst
@@ -343,6 +354,11 @@ let test_create_and_engine_validate () =
   check_bool "engine zero rate rejected" true
     (raises (fun () ->
          Optim.Online.engine ~rate:0. km mesh [ comm 0 1 1 2 2 100. ]));
+  check_bool "engine NaN rate rejected" true
+    (raises (fun () ->
+         Optim.Online.engine ~rate:Float.nan km mesh [ comm 0 1 1 2 2 100. ]));
+  check_bool "heuristic infinite rate rejected" true
+    (raises (fun () -> Optim.Online.heuristic ~rate:Float.infinity ()));
   check_bool "engine negative churn rejected" true
     (raises (fun () ->
          Optim.Online.engine ~churn:(-1) km mesh [ comm 0 1 1 2 2 100. ]));

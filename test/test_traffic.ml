@@ -174,7 +174,16 @@ let test_communication_make () =
     (Invalid_argument "Communication.make: rate <= 0") (fun () ->
       ignore
         (Traffic.Communication.make ~id:0 ~src:(coord 1 1) ~snk:(coord 1 2)
-           ~rate:0.))
+           ~rate:0.));
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Communication.make: rate not finite") (fun () ->
+          ignore
+            (Traffic.Communication.make ~id:0 ~src:(coord 1 1)
+               ~snk:(coord 1 2) ~rate)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_communication_sort () =
   let mk id src snk rate = Traffic.Communication.make ~id ~src ~snk ~rate in

@@ -534,6 +534,168 @@ let test_arena_reuse_bit_identical () =
         (String.equal (report_digest rb) fresh_b)
   | _ -> Alcotest.fail "two reports expected"
 
+(* ------------------------------------------------------------------ *)
+(* Golden pins: the report digest and a digest of the observer event
+   stream for fixed solutions and configurations. Any change to the
+   simulator's data structures must leave these unchanged; only a change
+   of behaviour may move them, and must say which. *)
+
+let golden_workload seed =
+  let mesh = Noc.Mesh.square 8 in
+  let rng = Traffic.Rng.create seed in
+  (mesh, Traffic.Workload.uniform rng mesh ~n:12 ~weight:Traffic.Workload.mixed)
+
+let golden_solution (h : Routing.Heuristic.t) seed =
+  let mesh, comms = golden_workload seed in
+  h.run km mesh comms
+
+let smp2 = Optim.Smp.heuristic ~s:2 ()
+
+(* Runs the case and returns (report digest, event-stream digest). *)
+let golden_run ?(config = Sim.Config.default) ?(kills = []) ?tolerance ~cycles
+    sol =
+  let net = Sim.Network.create ~config km sol in
+  List.iter (fun (cycle, link) -> Sim.Network.schedule_link_kill net ~cycle link) kills;
+  let events = Buffer.create 4096 in
+  Sim.Network.set_observer net (function
+    | Sim.Network.Injected { cycle; comm_id; packet } ->
+        Printf.bprintf events "I %d %d %d\n" cycle comm_id packet
+    | Sim.Network.Delivered { cycle; comm_id; packet; latency } ->
+        Printf.bprintf events "D %d %d %d %d\n" cycle comm_id packet latency
+    | Sim.Network.Escaped { cycle; comm_id; packet } ->
+        Printf.bprintf events "E %d %d %d\n" cycle comm_id packet
+    | Sim.Network.Deadlock { cycle } -> Printf.bprintf events "X %d\n" cycle
+    | Sim.Network.Link_killed { cycle; link } ->
+        Buffer.add_string events
+          (Format.asprintf "K %d %a\n" cycle Noc.Mesh.pp_link link));
+  let r = Sim.Network.run ?tolerance net ~cycles in
+  (r, Digest.to_hex (report_digest r), Digest.to_hex (Digest.string (Buffer.contents events)))
+
+(* The second link of the first route at least three hops long whose XY
+   escape from that link's source avoids it, so escaped packets can still
+   arrive. *)
+let golden_kill_link sol =
+  List.find_map
+    (fun (r : Routing.Solution.route) ->
+      match r.paths with
+      | [ (p, _) ] when Noc.Path.length p >= 3 ->
+          let l = (Noc.Path.links p).(1) in
+          let xy = Noc.Path.xy ~src:l.Noc.Mesh.src ~snk:r.comm.Traffic.Communication.snk in
+          if Noc.Coord.equal (Noc.Path.links xy).(0).Noc.Mesh.dst l.dst then None
+          else Some l
+      | _ -> None)
+    (Routing.Solution.routes sol)
+  |> Option.get
+
+(* Every case names what it exercises, and checks that it does. *)
+let split_routes sol =
+  List.length
+    (List.filter
+       (fun (r : Routing.Solution.route) ->
+         List.length r.paths + List.length r.detours > 1)
+       (Routing.Solution.routes sol))
+
+let escapes (r : Sim.Network.report) =
+  List.fold_left
+    (fun acc (s : Sim.Network.comm_stats) -> acc + s.escaped_packets)
+    0 r.Sim.Network.comms
+
+(* (case, run, property the case must show, report digest, event digest) *)
+let golden_cases =
+  let single h seed =
+    let sol = golden_solution h seed in
+    (sol, golden_run ~tolerance:0.1 ~cycles:2_000 sol)
+  in
+  let single_path h seed () =
+    let sol, run = single h seed in
+    check_int "single-path solution" 0 (split_routes sol);
+    run
+  in
+  let split seed () =
+    let sol, run = single smp2 seed in
+    check_bool "s-MP splits some route" true (split_routes sol > 0);
+    run
+  in
+  [
+    ( "xy seed 1",
+      single_path Routing.Heuristic.xy 1,
+      "0dec7db4220af14e3e9b6c2b2bc1dfa1",
+      "1278ccef57f78739688228b9596ba90a" );
+    ( "sg seed 1",
+      single_path Routing.Heuristic.sg 1,
+      "a337c38393dc458b3f25eccb5d588e34",
+      "46bacb7d735683826431c6137449305f" );
+    ( "tb seed 2",
+      single_path Routing.Heuristic.tb 2,
+      "36d6a224ef0f6a309572a74ce65f4b4a",
+      "e073d134b9a3fa99c97d41b8864a790b" );
+    ( "smp2 seed 1",
+      split 1,
+      "c128d1a8ed57a87fb5f94b2c10bbdf7b",
+      "477d7caa4d7c4b651a12d061f5a19945" );
+    ( "smp2 seed 2",
+      split 2,
+      "4efb122191889cc2187fb64c92b1fa93",
+      "651b8b26bb57e2f0443c50e0eb9e0fdb" );
+    ( "smp2 seed 3",
+      split 3,
+      "41621b825da6b0b345744ea3219639c2",
+      "c6ac47b371b4541c37c57ca309901882" );
+    ( "smp2 seed 4",
+      split 4,
+      "8c3d1633b09cef742862919f58535d84",
+      "83eb6b138647b1e75e2ef3221078762a" );
+    ( "kill with escape",
+      (fun () ->
+        let sol = golden_solution Routing.Heuristic.sg 1 in
+        let ((r, _, _) as run) =
+          golden_run ~kills:[ (300, golden_kill_link sol) ] ~tolerance:0.1
+            ~cycles:2_000 sol
+        in
+        check_bool "packets escaped" true (escapes r > 0);
+        check_bool "no deadlock" false r.Sim.Network.deadlocked;
+        run),
+      "c7ef69fcf151f9e4d377224961ec942a",
+      "46c0723ea6e50a147ff62475084a1f13" );
+    ( "escape off deadlocks",
+      (fun () ->
+        let config =
+          {
+            Sim.Config.default with
+            escape_vc = false;
+            num_vcs = 1;
+            packet_flits = 16;
+            buffer_flits = 4;
+            deadlock_window = 500;
+          }
+        in
+        let ((r, _, _) as run) =
+          golden_run ~config ~cycles:30_000 (cyclic_instance ())
+        in
+        check_bool "deadlocked" true r.Sim.Network.deadlocked;
+        run),
+      "817a84ff8e2085ea8b108cdfbd767105",
+      "7c367b2481fee2ba4866d555a469e4cf" );
+    ( "idle links off, router latency 2",
+      (fun () ->
+        let config =
+          { Sim.Config.default with idle_links_min_level = false; router_latency = 2 }
+        in
+        golden_run ~config ~tolerance:0.1 ~cycles:2_000
+          (golden_solution Routing.Heuristic.sg 2)),
+      "372debdfbff3a50cb34bee0c4bc12343",
+      "d46ae6dc23ee81deb23968e47922adc9" );
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, run, report_pin, events_pin) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let _, report, events = run () in
+          Alcotest.(check (pair string string))
+            "report and event digests" (report_pin, events_pin) (report, events)))
+    golden_cases
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -595,4 +757,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_delivered_rate_converges;
           QCheck_alcotest.to_alcotest prop_identical_seeds_identical_reports;
         ] );
+      ("golden", golden_tests);
     ]

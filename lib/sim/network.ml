@@ -5,23 +5,57 @@ type event =
   | Deadlock of { cycle : int }
   | Link_killed of { cycle : int; link : Noc.Mesh.link }
 
-type flit = { pkt : int; is_head : bool; is_tail : bool; mutable stamp : int }
+(* The data plane allocates nothing per cycle: per-(link, VC) state
+   lives in flat int arrays indexed by [q = link * num_vcs + vc], flits
+   are ints in fixed rings of [buffer_flits] per (link, VC), and packets
+   are slots of a slab. A flit is its packet's slot shifted left twice,
+   with the head and tail flags in the two low bits. *)
+let head_bit = 2
+let tail_bit = 1
 
-type packet = {
-  id : int;
-  comm_idx : int;
-  mutable route : int array;  (* link ids, source core to sink core *)
-  injected_at : int;
-  mutable escaped : bool;
+(* Per-link and per-(link, VC) state. *)
+type buffers = {
+  nlinks : int;
+  vcs : int;
+  depth : int;  (* buffer_flits *)
+  rate : float array;  (* flits/cycle per link *)
+  credit : float array;
+  rr : int array;  (* round-robin pointer per output link *)
+  link_flits : int array;  (* measured traversals per link *)
+  flits : int array;  (* ring of q at [q * depth ..]: buffered at the link's dst *)
+  stamps : int array;  (* arrival cycle of each ring cell *)
+  head : int array;  (* per q: ring start *)
+  len : int array;  (* per q: flits buffered *)
+  owner : int array;  (* per q: packet slot or -1 *)
+  next_out : int array;  (* per q: allocated out link or -1 *)
+  next_vc : int array;  (* per q: allocated out VC *)
+  wait : int array;
+  hop : int array;
+      (* per q: the owner's position on its route, stored when its head
+         arrives, so a route may pass a core or link twice *)
+}
+
+(* Live packets, indexed by slot. A packet shares its path's route array
+   (link ids, source core to sink core) until an escape rewrites it. *)
+type packets = {
+  id : int array;
+  comm : int array;  (* injector index *)
+  route : int array array;
+  born : int array;  (* injection cycle *)
+  escaped : bool array;
+  free : int array;  (* stack of free slots *)
+  mutable nfree : int;
 }
 
 type injector = {
   comm : Traffic.Communication.t;
-  paths : (int array * float) array;  (* routes (link ids) and rate shares *)
+  routes : int array array;  (* per path: link ids *)
+  shares : float array;  (* per path: share of the communication's rate *)
   flit_rate : float;  (* injected flits per cycle *)
-  mutable acc : float;
-  mutable sent_per_path : float array;
-  mutable pending : packet Queue.t;
+  sent_per_path : float array;
+  pending : int array;  (* ring of packet slots waiting at the source *)
+  mutable p_head : int;
+  mutable p_len : int;
   mutable emit_count : int;  (* flits of the head pending packet emitted *)
   mutable emit_vc : int;  (* VC allocated for the head pending packet *)
   mutable injected : int;
@@ -29,25 +63,21 @@ type injector = {
   mutable flits_delivered : int;
   mutable escaped_done : int;
   mutable latency_sum : int;
-  mutable latencies : int list;  (* measured-window tail latencies *)
+  mutable latencies : int array;  (* measured-window tail latencies *)
+  mutable n_latencies : int;
 }
 
 type t = {
   config : Config.t;
   mesh : Noc.Mesh.t;
-  nlinks : int;
-  rate : float array;  (* flits/cycle per link *)
-  credit : float array;
-  queue : flit Queue.t array array;  (* queue.(l).(v): buffered at dst of l *)
-  space : int array array;
-  owner : int array array;  (* packet id or -1 *)
-  next_alloc : (int * int) option array array;  (* (out link, out vc) *)
-  wait : int array array;
-  inputs_of : int list array;  (* links feeding the source router of l *)
+  b : buffers;
+  reqs : int array;
+      (* Requesters of output link l at [req_start.(l) .. req_start.(l+1)):
+         input (link, VC) q as [q], injector ci as [-(ci + 1)]. *)
+  req_start : int array;
   injectors : injector array;
-  injectors_at : (Noc.Coord.t, int list) Hashtbl.t;
-  packets : (int, packet) Hashtbl.t;
-  rr : int array;  (* round-robin pointer per output link *)
+  acc : float array;  (* per injector: offered flits not yet packetized *)
+  pk : packets;
   mutable next_packet_id : int;
   mutable cycle : int;
   mutable flits_in_flight : int;
@@ -57,7 +87,6 @@ type t = {
   mutable measuring : bool;
   mutable measured_cycles : int;
   mutable flits_moved : int;
-  link_flits : int array;  (* measured traversals per link *)
   mutable ran : bool;
   mutable observer : (event -> unit) option;
   mutable kills : (int * int) list;  (* (absolute cycle, link id) pending *)
@@ -72,39 +101,24 @@ let walk_links mesh walk =
 (* ---------------- reusable arenas ---------------- *)
 
 (* A campaign sweeps many solutions over the same mesh; allocating the
-   per-link buffer matrices afresh for every simulation is an allocation
-   storm under the worker pool. An arena caches one set of buffers keyed
-   by (links, VCs, buffer depth) plus the mesh-derived input-link table,
+   buffers afresh for every simulation is an allocation storm under the
+   worker pool. An arena caches the buffers (keyed by links, VCs and
+   buffer depth), the packet slab and the mesh-derived input-link table,
    and {!create} resets them to exactly the state a fresh allocation
-   would have — a network built in an arena is bit-identical to a
-   fresh one, it just skips the allocator. Only the most recent network
-   built in an arena is valid: building the next one recycles the
-   buffers under the previous network's feet. *)
+   would have — a network built in an arena is bit-identical to a fresh
+   one, it just skips the allocator. Only the most recent network built
+   in an arena is valid: building the next one recycles the buffers under
+   the previous network's feet. *)
 module Arena = struct
-  type slab = {
-    s_nlinks : int;
-    s_vcs : int;
-    s_buffer : int;
-    s_rate : float array;
-    s_credit : float array;
-    s_queue : flit Queue.t array array;
-    s_space : int array array;
-    s_owner : int array array;
-    s_next_alloc : (int * int) option array array;
-    s_wait : int array array;
-    s_rr : int array;
-    s_link_flits : int array;
-    s_packets : (int, packet) Hashtbl.t;
-  }
-
   type t = {
-    mutable slab : slab option;
-    mutable inputs : (int * int * int list array) option;
+    mutable buffers : buffers option;
+    mutable packets : packets option;
+    mutable inputs : (int * int * int array array) option;
         (* (rows, cols, inputs_of): the table is a pure function of the
            mesh shape, so the shape is the key. *)
   }
 
-  let create () = { slab = None; inputs = None }
+  let create () = { buffers = None; packets = None; inputs = None }
 
   (* One arena per domain: workers of the Monte-Carlo pool each get
      their own buffers, so arena reuse is race-free by construction. *)
@@ -126,58 +140,112 @@ let link_rate config model load =
 
 (* Buffers for one network: recycled from the arena when the shape
    matches, freshly allocated (and stashed for next time) otherwise.
-   Reset is exhaustive — every mutable cell a fresh allocation would
-   zero is rewritten — so the two paths are observationally identical. *)
-let slab_for ~arena ~nlinks ~vcs ~buffer =
+   Reset rewrites every cell a fresh allocation would start from, except
+   the rates, which [create] sets, and the ring cells, which are never
+   read beyond [len]. *)
+let buffers_for ~arena ~nlinks ~vcs ~depth =
+  let nq = nlinks * vcs in
   let fresh () =
     {
-      Arena.s_nlinks = nlinks;
-      s_vcs = vcs;
-      s_buffer = buffer;
-      s_rate = Array.make nlinks 0.;
-      s_credit = Array.make nlinks 0.;
-      s_queue = Array.init nlinks (fun _ -> Array.init vcs (fun _ -> Queue.create ()));
-      s_space = Array.make_matrix nlinks vcs buffer;
-      s_owner = Array.make_matrix nlinks vcs (-1);
-      s_next_alloc = Array.make_matrix nlinks vcs None;
-      s_wait = Array.make_matrix nlinks vcs 0;
-      s_rr = Array.make nlinks 0;
-      s_link_flits = Array.make nlinks 0;
-      s_packets = Hashtbl.create 256;
+      nlinks;
+      vcs;
+      depth;
+      rate = Array.make nlinks 0.;
+      credit = Array.make nlinks 0.;
+      rr = Array.make nlinks 0;
+      link_flits = Array.make nlinks 0;
+      flits = Array.make (nq * depth) 0;
+      stamps = Array.make (nq * depth) 0;
+      head = Array.make nq 0;
+      len = Array.make nq 0;
+      owner = Array.make nq (-1);
+      next_out = Array.make nq (-1);
+      next_vc = Array.make nq (-1);
+      wait = Array.make nq 0;
+      hop = Array.make nq 0;
     }
   in
   match arena with
   | None -> fresh ()
   | Some (a : Arena.t) -> (
-      match a.slab with
-      | Some s
-        when s.Arena.s_nlinks = nlinks && s.s_vcs = vcs && s.s_buffer = buffer
-        ->
-          Array.fill s.s_credit 0 nlinks 0.;
-          Array.fill s.s_rr 0 nlinks 0;
-          Array.fill s.s_link_flits 0 nlinks 0;
-          for l = 0 to nlinks - 1 do
-            Array.fill s.s_space.(l) 0 vcs buffer;
-            Array.fill s.s_owner.(l) 0 vcs (-1);
-            Array.fill s.s_next_alloc.(l) 0 vcs None;
-            Array.fill s.s_wait.(l) 0 vcs 0;
-            Array.iter Queue.clear s.s_queue.(l)
-          done;
-          Hashtbl.reset s.s_packets;
-          s
+      match a.buffers with
+      | Some b when b.nlinks = nlinks && b.vcs = vcs && b.depth = depth ->
+          Array.fill b.credit 0 nlinks 0.;
+          Array.fill b.rr 0 nlinks 0;
+          Array.fill b.link_flits 0 nlinks 0;
+          List.iter
+            (fun (a, x) -> Array.fill a 0 nq x)
+            [ (b.head, 0); (b.len, 0); (b.owner, -1); (b.next_out, -1);
+              (b.next_vc, -1); (b.wait, 0); (b.hop, 0) ];
+          b
       | _ ->
-          let s = fresh () in
-          a.slab <- Some s;
-          s)
+          let b = fresh () in
+          a.buffers <- Some b;
+          b)
+
+(* A slab of [capacity] free slots, lowest slot on top of the stack. *)
+let packets_for ~arena ~capacity =
+  let fresh () =
+    {
+      id = Array.make capacity 0;
+      comm = Array.make capacity 0;
+      route = Array.make capacity [||];
+      born = Array.make capacity 0;
+      escaped = Array.make capacity false;
+      free = Array.init capacity (fun i -> capacity - 1 - i);
+      nfree = capacity;
+    }
+  in
+  match arena with
+  | None -> fresh ()
+  | Some (a : Arena.t) -> (
+      match a.packets with
+      | Some pk when Array.length pk.id >= capacity ->
+          let n = Array.length pk.id in
+          Array.iteri (fun i _ -> pk.free.(i) <- n - 1 - i) pk.free;
+          Array.fill pk.route 0 n [||];
+          pk.nfree <- n;
+          pk
+      | _ ->
+          let pk = fresh () in
+          a.packets <- Some pk;
+          pk)
 
 let inputs_table mesh nlinks =
   Array.init nlinks (fun l ->
       let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
-      List.filter_map
-        (fun nb ->
-          let inl = Noc.Mesh.link ~src:nb ~dst:src in
-          Some (Noc.Mesh.link_id mesh inl))
-        (Noc.Mesh.neighbors mesh src))
+      Array.of_list
+        (List.map
+           (fun nb -> Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:nb ~dst:src))
+           (Noc.Mesh.neighbors mesh src)))
+
+(* The requesters of every output link, in round-robin order: each input
+   link feeding its source router with all its VCs, then the injectors
+   at that router in communication order. *)
+let requesters mesh ~vcs inputs_of injectors =
+  let per_link =
+    Array.mapi
+      (fun l inputs ->
+        let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
+        let from =
+          List.concat_map
+            (fun l_in -> List.init vcs (fun v -> (l_in * vcs) + v))
+            (Array.to_list inputs)
+        in
+        let inject =
+          List.filter_map
+            (fun ci ->
+              if Noc.Coord.equal injectors.(ci).comm.Traffic.Communication.src src
+              then Some (-(ci + 1))
+              else None)
+            (List.init (Array.length injectors) Fun.id)
+        in
+        Array.of_list (from @ inject))
+      inputs_of
+  in
+  let req_start = Array.make (Array.length per_link + 1) 0 in
+  Array.iteri (fun l r -> req_start.(l + 1) <- req_start.(l) + Array.length r) per_link;
+  (Array.concat (Array.to_list per_link), req_start)
 
 let create ?(config = Config.default) ?arena model solution =
   Config.validate config;
@@ -185,12 +253,9 @@ let create ?(config = Config.default) ?arena model solution =
   let nlinks = Noc.Mesh.num_links mesh in
   let loads = Routing.Solution.loads solution in
   let vcs = config.Config.num_vcs in
-  let slab =
-    slab_for ~arena ~nlinks ~vcs ~buffer:config.Config.buffer_flits
-  in
-  let rate = slab.Arena.s_rate in
+  let b = buffers_for ~arena ~nlinks ~vcs ~depth:config.Config.buffer_flits in
   for l = 0 to nlinks - 1 do
-    rate.(l) <- link_rate config model (Noc.Load.get loads l)
+    b.rate.(l) <- link_rate config model (Noc.Load.get loads l)
   done;
   let injectors =
     Array.of_list
@@ -207,11 +272,13 @@ let create ?(config = Config.default) ?arena model solution =
            in
            {
              comm = r.comm;
-             paths = Array.of_list all_routes;
+             routes = Array.of_list (List.map fst all_routes);
+             shares = Array.of_list (List.map snd all_routes);
              flit_rate = total /. model.Power.Model.capacity;
-             acc = 0.;
              sent_per_path = Array.make (List.length all_routes) 0.;
-             pending = Queue.create ();
+             pending = Array.make config.Config.max_pending_packets 0;
+             p_head = 0;
+             p_len = 0;
              emit_count = 0;
              emit_vc = -1;
              injected = 0;
@@ -219,17 +286,11 @@ let create ?(config = Config.default) ?arena model solution =
              flits_delivered = 0;
              escaped_done = 0;
              latency_sum = 0;
-             latencies = [];
+             latencies = Array.make 64 0;
+             n_latencies = 0;
            })
          (Routing.Solution.routes solution))
   in
-  let injectors_at = Hashtbl.create 16 in
-  Array.iteri
-    (fun i inj ->
-      let core = inj.comm.Traffic.Communication.src in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt injectors_at core) in
-      Hashtbl.replace injectors_at core (prev @ [ i ]))
-    injectors;
   let inputs_of =
     let rows = Noc.Mesh.rows mesh and cols = Noc.Mesh.cols mesh in
     match arena with
@@ -242,22 +303,23 @@ let create ?(config = Config.default) ?arena model solution =
         table
     | None -> inputs_table mesh nlinks
   in
+  let reqs, req_start = requesters mesh ~vcs inputs_of injectors in
+  (* A live packet either waits at its source or owns the (link, VC)
+     holding its tail flit. *)
+  let capacity =
+    Array.fold_left
+      (fun n inj -> n + Array.length inj.pending)
+      (nlinks * vcs) injectors
+  in
   {
     config;
     mesh;
-    nlinks;
-    rate;
-    credit = slab.Arena.s_credit;
-    queue = slab.Arena.s_queue;
-    space = slab.Arena.s_space;
-    owner = slab.Arena.s_owner;
-    next_alloc = slab.Arena.s_next_alloc;
-    wait = slab.Arena.s_wait;
-    inputs_of;
+    b;
+    reqs;
+    req_start;
     injectors;
-    injectors_at;
-    packets = slab.Arena.s_packets;
-    rr = slab.Arena.s_rr;
+    acc = Array.make (Array.length injectors) 0.;
+    pk = packets_for ~arena ~capacity;
     next_packet_id = 0;
     cycle = 0;
     flits_in_flight = 0;
@@ -267,7 +329,6 @@ let create ?(config = Config.default) ?arena model solution =
     measuring = false;
     measured_cycles = 0;
     flits_moved = 0;
-    link_flits = slab.Arena.s_link_flits;
     ran = false;
     observer = None;
     kills = [];
@@ -286,322 +347,323 @@ let schedule_link_kill t ~cycle link =
   if cycle < 0 then invalid_arg "Network.schedule_link_kill: cycle < 0";
   t.kills <- (cycle, Noc.Mesh.link_id t.mesh link) :: t.kills
 
+let rec any_due cycle = function
+  | [] -> false
+  | (c, _) :: rest -> c <= cycle || any_due cycle rest
+
 let apply_kills t =
-  match t.kills with
-  | [] -> ()
-  | kills ->
-      let due, rest = List.partition (fun (c, _) -> c <= t.cycle) kills in
-      t.kills <- rest;
-      List.iter
-        (fun (_, l) ->
-          t.rate.(l) <- 0.;
-          t.credit.(l) <- 0.;
-          emit t
-            (Link_killed
-               { cycle = t.cycle; link = Noc.Mesh.link_of_id t.mesh l }))
-        due
+  if any_due t.cycle t.kills then begin
+    let due, rest = List.partition (fun (c, _) -> c <= t.cycle) t.kills in
+    t.kills <- rest;
+    List.iter
+      (fun (_, l) ->
+        t.b.rate.(l) <- 0.;
+        t.b.credit.(l) <- 0.;
+        emit t
+          (Link_killed
+             { cycle = t.cycle; link = Noc.Mesh.link_of_id t.mesh l }))
+      due
+  end
 
-(* Index of link [l] on the packet's route (routes never repeat a link). *)
-let hop_index pkt l =
-  let rec go i =
-    if i >= Array.length pkt.route then -1
-    else if pkt.route.(i) = l then i
-    else go (i + 1)
-  in
-  go 0
+(* ---------------- packets and rings ---------------- *)
 
-let escape_vc_of t = t.config.Config.num_vcs - 1
+let alloc_packet t ~comm ~route =
+  let pk = t.pk in
+  pk.nfree <- pk.nfree - 1;
+  let slot = pk.free.(pk.nfree) in
+  pk.id.(slot) <- t.next_packet_id;
+  pk.comm.(slot) <- comm;
+  pk.route.(slot) <- route;
+  pk.born.(slot) <- t.cycle;
+  pk.escaped.(slot) <- false;
+  t.next_packet_id <- t.next_packet_id + 1;
+  slot
 
-let normal_vcs t =
-  if t.config.Config.escape_vc then t.config.Config.num_vcs - 1
-  else t.config.Config.num_vcs
+let free_packet t slot =
+  let pk = t.pk in
+  pk.route.(slot) <- [||];
+  pk.free.(pk.nfree) <- slot;
+  pk.nfree <- pk.nfree + 1
 
-let allowed_vcs t pkt =
-  if pkt.escaped then [ escape_vc_of t ]
-  else List.init (normal_vcs t) Fun.id
+(* Ring cell of the oldest flit buffered at (link, VC) [q]. *)
+let front b q = (q * b.depth) + b.head.(q)
+
+let pop b q =
+  let h = b.head.(q) + 1 in
+  b.head.(q) <- (if h = b.depth then 0 else h);
+  b.len.(q) <- b.len.(q) - 1
+
+let push b q flit ~cycle =
+  let i = b.head.(q) + b.len.(q) in
+  let cell = (q * b.depth) + if i >= b.depth then i - b.depth else i in
+  b.flits.(cell) <- flit;
+  b.stamps.(cell) <- cycle;
+  b.len.(q) <- b.len.(q) + 1
+
+let escape_vc_of t = t.b.vcs - 1
+
+let normal_vcs t = if t.config.Config.escape_vc then t.b.vcs - 1 else t.b.vcs
 
 (* ---------------- injection ---------------- *)
 
+(* Deficit rule: the path whose delivered share lags the most, the first
+   on ties. *)
 let choose_path inj =
-  (* Deficit rule: the path whose delivered share lags the most. *)
-  let n = Array.length inj.paths in
-  let best = ref 0 and best_deficit = ref neg_infinity in
-  for i = 0 to n - 1 do
-    let _, share = inj.paths.(i) in
-    let deficit =
-      (share *. float_of_int (inj.injected + 1)) -. inj.sent_per_path.(i)
-    in
-    if deficit > !best_deficit then begin
-      best := i;
-      best_deficit := deficit
-    end
+  let n = float_of_int (inj.injected + 1) in
+  let best = ref 0 in
+  for i = 1 to Array.length inj.shares - 1 do
+    let j = !best in
+    if
+      (inj.shares.(i) *. n) -. inj.sent_per_path.(i)
+      > (inj.shares.(j) *. n) -. inj.sent_per_path.(j)
+    then best := i
   done;
   !best
 
 let inject_new_packets t =
-  Array.iteri
-    (fun inj_idx inj ->
-      inj.acc <- inj.acc +. inj.flit_rate;
-      let pf = float_of_int t.config.Config.packet_flits in
-      while
-        inj.acc >= pf
-        && Queue.length inj.pending < t.config.Config.max_pending_packets
-      do
-        inj.acc <- inj.acc -. pf;
-        let path_idx = choose_path inj in
-        let route, _ = inj.paths.(path_idx) in
-        inj.sent_per_path.(path_idx) <- inj.sent_per_path.(path_idx) +. 1.;
-        let pkt =
-          {
-            id = t.next_packet_id;
-            comm_idx = inj_idx;
-            route = Array.copy route;
-            injected_at = t.cycle;
-            escaped = false;
-          }
-        in
-        t.next_packet_id <- t.next_packet_id + 1;
-        Hashtbl.replace t.packets pkt.id pkt;
-        Queue.push pkt inj.pending;
-        inj.injected <- inj.injected + 1;
-        emit t
-          (Injected
-             { cycle = t.cycle; comm_id = inj.comm.Traffic.Communication.id;
-               packet = pkt.id })
-      done;
-      (* Without pending room the offered load is dropped: saturation. *)
-      if inj.acc >= pf then inj.acc <- pf)
-    t.injectors
+  let pf = float_of_int t.config.Config.packet_flits in
+  let max_pending = t.config.Config.max_pending_packets in
+  for ci = 0 to Array.length t.injectors - 1 do
+    let inj = t.injectors.(ci) in
+    t.acc.(ci) <- t.acc.(ci) +. inj.flit_rate;
+    while t.acc.(ci) >= pf && inj.p_len < max_pending do
+      t.acc.(ci) <- t.acc.(ci) -. pf;
+      let path = choose_path inj in
+      inj.sent_per_path.(path) <- inj.sent_per_path.(path) +. 1.;
+      let slot = alloc_packet t ~comm:ci ~route:inj.routes.(path) in
+      inj.pending.((inj.p_head + inj.p_len) mod max_pending) <- slot;
+      inj.p_len <- inj.p_len + 1;
+      inj.injected <- inj.injected + 1;
+      match t.observer with
+      | None -> ()
+      | Some f ->
+          f (Injected
+               { cycle = t.cycle; comm_id = inj.comm.Traffic.Communication.id;
+                 packet = t.pk.id.(slot) })
+    done;
+    (* Without pending room the offered load is dropped: saturation. *)
+    if t.acc.(ci) >= pf then t.acc.(ci) <- pf
+  done
 
 (* ---------------- ejection ---------------- *)
 
+let record_latency inj lat =
+  if inj.n_latencies = Array.length inj.latencies then
+    inj.latencies <- Array.append inj.latencies inj.latencies;
+  inj.latencies.(inj.n_latencies) <- lat;
+  inj.n_latencies <- inj.n_latencies + 1
+
 let eject t =
-  for l = 0 to t.nlinks - 1 do
-    for v = 0 to t.config.Config.num_vcs - 1 do
-      let q = t.queue.(l).(v) in
-      if not (Queue.is_empty q) then begin
-        let f = Queue.peek q in
-        if f.stamp + t.config.Config.router_latency <= t.cycle then begin
-          let pkt = Hashtbl.find t.packets f.pkt in
-          let idx = hop_index pkt l in
-          if idx = Array.length pkt.route - 1 then begin
-            (* Arrived: consume one flit per cycle per stream. *)
-            ignore (Queue.pop q);
-            t.space.(l).(v) <- t.space.(l).(v) + 1;
-            t.flits_in_flight <- t.flits_in_flight - 1;
-            t.total_ejected <- t.total_ejected + 1;
-            t.last_progress <- t.cycle;
-            let inj = t.injectors.(pkt.comm_idx) in
-            if t.measuring then inj.flits_delivered <- inj.flits_delivered + 1;
-            if f.is_tail then begin
-              t.owner.(l).(v) <- -1;
-              t.next_alloc.(l).(v) <- None;
-              inj.delivered <- inj.delivered + 1;
-              if pkt.escaped then inj.escaped_done <- inj.escaped_done + 1;
-              let lat = t.cycle - pkt.injected_at in
-              inj.latency_sum <- inj.latency_sum + lat;
-              if t.measuring then inj.latencies <- lat :: inj.latencies;
-              emit t
-                (Delivered
+  let b = t.b and pk = t.pk in
+  let latency = t.config.Config.router_latency in
+  for q = 0 to (b.nlinks * b.vcs) - 1 do
+    if b.len.(q) > 0 then begin
+      let cell = front b q in
+      let flit = b.flits.(cell) in
+      let slot = flit lsr 2 in
+      if
+        b.stamps.(cell) + latency <= t.cycle
+        && b.hop.(q) = Array.length pk.route.(slot) - 1
+      then begin
+        (* Arrived: consume one flit per cycle per stream. *)
+        pop b q;
+        t.flits_in_flight <- t.flits_in_flight - 1;
+        t.total_ejected <- t.total_ejected + 1;
+        t.last_progress <- t.cycle;
+        let inj = t.injectors.(pk.comm.(slot)) in
+        if t.measuring then inj.flits_delivered <- inj.flits_delivered + 1;
+        if flit land tail_bit <> 0 then begin
+          b.owner.(q) <- -1;
+          b.next_out.(q) <- -1;
+          inj.delivered <- inj.delivered + 1;
+          if pk.escaped.(slot) then inj.escaped_done <- inj.escaped_done + 1;
+          let lat = t.cycle - pk.born.(slot) in
+          inj.latency_sum <- inj.latency_sum + lat;
+          if t.measuring then record_latency inj lat;
+          (match t.observer with
+          | None -> ()
+          | Some f ->
+              f (Delivered
                    { cycle = t.cycle;
                      comm_id = inj.comm.Traffic.Communication.id;
-                     packet = pkt.id; latency = lat });
-              Hashtbl.remove t.packets pkt.id
-            end
-          end
+                     packet = pk.id.(slot); latency = lat }));
+          free_packet t slot
         end
       end
-    done
+    end
   done
 
 (* ---------------- switch arbitration ---------------- *)
 
-type requester = From of int * int | Inject of int
+(* First VC of [l_out] in [w, last] that is unowned with buffer room,
+   or -1. *)
+let rec free_vc b l_out w last =
+  if w > last then -1
+  else
+    let q = (l_out * b.vcs) + w in
+    if b.owner.(q) = -1 && b.len.(q) < b.depth then w
+    else free_vc b l_out (w + 1) last
 
-(* Whether the requester has a flit ready to cross [l_out] now, and the
-   output VC to use; performs VC allocation for head flits. *)
-let try_transfer t l_out req =
-  let allocate pkt =
-    let rec find = function
-      | [] -> None
-      | w :: rest ->
-          if t.owner.(l_out).(w) = -1 && t.space.(l_out).(w) >= 1 then Some w
-          else find rest
-    in
-    find (allowed_vcs t pkt)
+(* VC allocation for a head flit: the escape VC for an escaped packet,
+   the first free normal VC otherwise; -1 when none is free. *)
+let allocate t l_out slot =
+  if t.pk.escaped.(slot) then
+    free_vc t.b l_out (escape_vc_of t) (escape_vc_of t)
+  else free_vc t.b l_out 0 (normal_vcs t - 1)
+
+(* Moves [flit] across [l_out] into VC [w]; a head flit takes ownership
+   of the VC and records its position [hop] on the route. *)
+let deliver t l_out w flit hop =
+  let b = t.b in
+  let q = (l_out * b.vcs) + w in
+  push b q flit ~cycle:t.cycle;
+  if flit land head_bit <> 0 then begin
+    b.owner.(q) <- flit lsr 2;
+    b.hop.(q) <- hop
+  end;
+  b.credit.(l_out) <- b.credit.(l_out) -. 1.;
+  t.flits_moved <- t.flits_moved + 1;
+  if t.measuring then b.link_flits.(l_out) <- b.link_flits.(l_out) + 1;
+  t.last_progress <- t.cycle
+
+(* Whether input (link, VC) [q] has a flit ready to cross [l_out] now;
+   if so, moves it (allocating an output VC for a head flit). *)
+let try_from t l_out q =
+  let b = t.b in
+  b.len.(q) > 0
+  &&
+  let cell = front b q in
+  b.stamps.(cell) + t.config.Config.router_latency <= t.cycle
+  &&
+  let flit = b.flits.(cell) in
+  let slot = flit lsr 2 in
+  let route = t.pk.route.(slot) in
+  let hop = b.hop.(q) + 1 in
+  hop < Array.length route
+  && route.(hop) = l_out
+  &&
+  let is_head = flit land head_bit <> 0 in
+  let lo = b.next_out.(q) in
+  let w =
+    if lo >= 0 then if lo = l_out && not is_head then b.next_vc.(q) else -1
+    else if is_head then allocate t l_out slot
+    else -1
   in
-  let deliver flit out_vc ~on_sent =
-    Queue.push flit t.queue.(l_out).(out_vc);
-    flit.stamp <- t.cycle;
-    t.space.(l_out).(out_vc) <- t.space.(l_out).(out_vc) - 1;
-    if flit.is_head then t.owner.(l_out).(out_vc) <- flit.pkt;
-    t.credit.(l_out) <- t.credit.(l_out) -. 1.;
-    t.flits_moved <- t.flits_moved + 1;
-    if t.measuring then t.link_flits.(l_out) <- t.link_flits.(l_out) + 1;
-    t.last_progress <- t.cycle;
-    on_sent ()
-  in
-  match req with
-  | From (l_in, v) ->
-      let q = t.queue.(l_in).(v) in
-      if Queue.is_empty q then false
-      else begin
-        let f = Queue.peek q in
-        if f.stamp + t.config.Config.router_latency > t.cycle then false
-        else begin
-          let pkt = Hashtbl.find t.packets f.pkt in
-          let idx = hop_index pkt l_in in
-          if idx < 0 || idx + 1 >= Array.length pkt.route then false
-          else if pkt.route.(idx + 1) <> l_out then false
-          else begin
-            let out_vc =
-              match t.next_alloc.(l_in).(v) with
-              | Some (lo, w) when lo = l_out -> if f.is_head then None else Some w
-              | Some _ -> None
-              | None -> if f.is_head then allocate pkt else None
-            in
-            match out_vc with
-            | None -> false
-            | Some w ->
-                if t.space.(l_out).(w) < 1 then false
-                else begin
-                  ignore (Queue.pop q);
-                  t.space.(l_in).(v) <- t.space.(l_in).(v) + 1;
-                  t.wait.(l_in).(v) <- 0;
-                  if f.is_head then t.next_alloc.(l_in).(v) <- Some (l_out, w);
-                  if f.is_tail then begin
-                    t.owner.(l_in).(v) <- -1;
-                    t.next_alloc.(l_in).(v) <- None
-                  end;
-                  deliver f w ~on_sent:(fun () -> ());
-                  true
-                end
-          end
-        end
-      end
-  | Inject ci ->
-      let inj = t.injectors.(ci) in
-      if Queue.is_empty inj.pending then false
-      else begin
-        let pkt = Queue.peek inj.pending in
-        if pkt.route.(0) <> l_out then false
-        else begin
-          let pf = t.config.Config.packet_flits in
-          let is_head = inj.emit_count = 0 in
-          let out_vc =
-            if is_head then allocate pkt
-            else if inj.emit_vc >= 0 then Some inj.emit_vc
-            else None
-          in
-          match out_vc with
-          | None -> false
-          | Some w ->
-              if t.space.(l_out).(w) < 1 then false
-              else begin
-                let is_tail = inj.emit_count = pf - 1 in
-                let f = { pkt = pkt.id; is_head; is_tail; stamp = t.cycle } in
-                if is_head then inj.emit_vc <- w;
-                inj.emit_count <- inj.emit_count + 1;
-                t.flits_in_flight <- t.flits_in_flight + 1;
-                t.total_injected <- t.total_injected + 1;
-                if is_tail then begin
-                  ignore (Queue.pop inj.pending);
-                  inj.emit_count <- 0;
-                  inj.emit_vc <- -1
-                end;
-                deliver f w ~on_sent:(fun () -> ());
-                true
-              end
-        end
-      end
+  w >= 0
+  && b.len.((l_out * b.vcs) + w) < b.depth
+  && begin
+       pop b q;
+       b.wait.(q) <- 0;
+       if is_head then begin
+         b.next_out.(q) <- l_out;
+         b.next_vc.(q) <- w
+       end;
+       if flit land tail_bit <> 0 then begin
+         b.owner.(q) <- -1;
+         b.next_out.(q) <- -1
+       end;
+       deliver t l_out w flit hop;
+       true
+     end
+
+(* Whether injector [ci] has a flit ready to enter [l_out] now; if so,
+   emits it. *)
+let try_inject t l_out ci =
+  let inj = t.injectors.(ci) in
+  inj.p_len > 0
+  &&
+  let slot = inj.pending.(inj.p_head) in
+  t.pk.route.(slot).(0) = l_out
+  &&
+  let is_head = inj.emit_count = 0 in
+  let w = if is_head then allocate t l_out slot else inj.emit_vc in
+  w >= 0
+  && t.b.len.((l_out * t.b.vcs) + w) < t.b.depth
+  && begin
+       let is_tail = inj.emit_count = t.config.Config.packet_flits - 1 in
+       if is_head then inj.emit_vc <- w;
+       inj.emit_count <- inj.emit_count + 1;
+       t.flits_in_flight <- t.flits_in_flight + 1;
+       t.total_injected <- t.total_injected + 1;
+       if is_tail then begin
+         inj.p_head <- (inj.p_head + 1) mod Array.length inj.pending;
+         inj.p_len <- inj.p_len - 1;
+         inj.emit_count <- 0;
+         inj.emit_vc <- -1
+       end;
+       let flit =
+         (slot lsl 2)
+         lor (if is_head then head_bit else 0)
+         lor if is_tail then tail_bit else 0
+       in
+       deliver t l_out w flit 0;
+       true
+     end
 
 let arbitrate t =
-  for l_out = 0 to t.nlinks - 1 do
-    t.credit.(l_out) <- Float.min 2. (t.credit.(l_out) +. t.rate.(l_out));
-    if t.credit.(l_out) >= 1. then begin
-      let src = (Noc.Mesh.link_of_id t.mesh l_out).Noc.Mesh.src in
-      let requesters =
-        List.concat
-          [
-            List.concat_map
-              (fun l_in ->
-                List.init t.config.Config.num_vcs (fun v -> From (l_in, v)))
-              t.inputs_of.(l_out);
-            List.map
-              (fun ci -> Inject ci)
-              (Option.value ~default:[] (Hashtbl.find_opt t.injectors_at src));
-          ]
-      in
-      let n = List.length requesters in
-      if n > 0 then begin
-        let arr = Array.of_list requesters in
-        let start = t.rr.(l_out) mod n in
-        let rec go k =
-          if k < n then begin
-            let i = (start + k) mod n in
-            if try_transfer t l_out arr.(i) then t.rr.(l_out) <- i + 1
-            else go (k + 1)
-          end
-        in
-        go 0
-      end
+  let b = t.b in
+  for l_out = 0 to b.nlinks - 1 do
+    let c = b.credit.(l_out) +. b.rate.(l_out) in
+    b.credit.(l_out) <- (if c < 2. then c else 2.);
+    let base = t.req_start.(l_out) in
+    let n = t.req_start.(l_out + 1) - base in
+    if b.credit.(l_out) >= 1. && n > 0 then begin
+      let start = b.rr.(l_out) mod n in
+      let k = ref 0 in
+      while !k < n do
+        let i = (start + !k) mod n in
+        let r = t.reqs.(base + i) in
+        if
+          if r >= 0 then try_from t l_out r else try_inject t l_out (-r - 1)
+        then begin
+          b.rr.(l_out) <- i + 1;
+          k := n
+        end
+        else incr k
+      done
     end
   done
 
 (* ---------------- escape ---------------- *)
 
-let reroute_via_xy t pkt current_core =
-  let comm = t.injectors.(pkt.comm_idx).comm in
-  let snk = comm.Traffic.Communication.snk in
-  if Noc.Coord.equal current_core snk then ()
-  else begin
-    let xy = Noc.Path.xy ~src:current_core ~snk in
-    let tail_ids = path_links t.mesh xy in
-    let idx =
-      (* Links already traversed: everything up to the current position. *)
-      let rec find i =
-        if i >= Array.length pkt.route then Array.length pkt.route - 1
-        else
-          let l = pkt.route.(i) in
-          if Noc.Coord.equal (Noc.Mesh.link_of_id t.mesh l).Noc.Mesh.dst current_core
-          then i
-          else find (i + 1)
-      in
-      find 0
-    in
-    pkt.route <- Array.append (Array.sub pkt.route 0 (idx + 1)) tail_ids;
-    pkt.escaped <- true
+(* The head of the packet in [slot] blocks at (link, VC) [q]: keep the
+   links already traversed and finish dimension-ordered. *)
+let reroute_via_xy t slot q =
+  let snk = t.injectors.(t.pk.comm.(slot)).comm.Traffic.Communication.snk in
+  let current_core = (Noc.Mesh.link_of_id t.mesh (q / t.b.vcs)).Noc.Mesh.dst in
+  if not (Noc.Coord.equal current_core snk) then begin
+    let traversed = Array.sub t.pk.route.(slot) 0 (t.b.hop.(q) + 1) in
+    let xy = path_links t.mesh (Noc.Path.xy ~src:current_core ~snk) in
+    t.pk.route.(slot) <- Array.append traversed xy;
+    t.pk.escaped.(slot) <- true
   end
 
 let trigger_escapes t =
+  let b = t.b in
   if t.config.Config.escape_vc then
-    for l = 0 to t.nlinks - 1 do
-      for v = 0 to t.config.Config.num_vcs - 1 do
-        let q = t.queue.(l).(v) in
+    for q = 0 to (b.nlinks * b.vcs) - 1 do
+      let flit = if b.len.(q) > 0 then b.flits.(front b q) else 0 in
+      if flit land head_bit <> 0 && b.next_out.(q) = -1 then begin
+        b.wait.(q) <- b.wait.(q) + 1;
+        let slot = flit lsr 2 in
         if
-          (not (Queue.is_empty q))
-          && (Queue.peek q).is_head
-          && t.next_alloc.(l).(v) = None
+          b.wait.(q) >= t.config.Config.escape_patience
+          && (not t.pk.escaped.(slot))
+          && q mod b.vcs <> escape_vc_of t
         then begin
-          t.wait.(l).(v) <- t.wait.(l).(v) + 1;
-          let f = Queue.peek q in
-          let pkt = Hashtbl.find t.packets f.pkt in
-          if
-            t.wait.(l).(v) >= t.config.Config.escape_patience
-            && (not pkt.escaped)
-            && v <> escape_vc_of t
-          then begin
-            reroute_via_xy t pkt (Noc.Mesh.link_of_id t.mesh l).Noc.Mesh.dst;
-            emit t
-              (Escaped
-                 { cycle = t.cycle;
-                   comm_id = t.injectors.(pkt.comm_idx).comm.Traffic.Communication.id;
-                   packet = pkt.id });
-            t.wait.(l).(v) <- 0
-          end
+          reroute_via_xy t slot q;
+          (match t.observer with
+          | None -> ()
+          | Some f ->
+              f (Escaped
+                   { cycle = t.cycle;
+                     comm_id =
+                       t.injectors.(t.pk.comm.(slot)).comm.Traffic.Communication.id;
+                     packet = t.pk.id.(slot) }));
+          b.wait.(q) <- 0
         end
-        else t.wait.(l).(v) <- 0
-      done
+      end
+      else b.wait.(q) <- 0
     done
 
 (* ---------------- main loop ---------------- *)
@@ -645,16 +707,19 @@ type report = {
   early_exit : bool;
 }
 
-(* Nearest-rank percentile of the recorded latencies. *)
-let percentile latencies q =
-  match latencies with
-  | [] -> Float.nan
-  | l ->
-      let a = Array.of_list l in
-      Array.sort Int.compare a;
-      let n = Array.length a in
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      float_of_int a.(max 0 (min (n - 1) (rank - 1)))
+(* The injector's measured latencies, sorted. *)
+let sorted_latencies inj =
+  let a = Array.sub inj.latencies 0 inj.n_latencies in
+  Array.sort Int.compare a;
+  a
+
+(* Nearest-rank percentile of sorted latencies. *)
+let percentile a q =
+  let n = Array.length a in
+  if n = 0 then Float.nan
+  else
+    let rank = int_of_float (ceil (q *. float_of_int n)) in
+    float_of_int a.(max 0 (min (n - 1) (rank - 1)))
 
 (* One convergence probe per injector: the delivered rate and the latency
    quantiles measured so far. *)
@@ -665,7 +730,8 @@ let probe_injector measured (inj : injector) =
       float_of_int inj.flits_delivered /. float_of_int measured
       *. (inj.comm.Traffic.Communication.rate /. inj.flit_rate)
   in
-  (rate, percentile inj.latencies 0.50, percentile inj.latencies 0.95)
+  let sorted = sorted_latencies inj in
+  (rate, percentile sorted 0.50, percentile sorted 0.95)
 
 (* Convergence between two probes of the same injector, within the
    relative tolerance [tol]: the delivered rate must have reached the
@@ -714,10 +780,10 @@ let run ?warmup ?tolerance t ~cycles =
              inj.delivered <- 0;
              inj.escaped_done <- 0;
              inj.latency_sum <- 0;
-             inj.latencies <- [];
+             inj.n_latencies <- 0;
              inj.injected <- 0)
            t.injectors;
-         Array.fill t.link_flits 0 t.nlinks 0
+         Array.fill t.b.link_flits 0 t.b.nlinks 0
        end;
        step t;
        if t.flits_in_flight > 0 && t.cycle - t.last_progress > window then begin
@@ -753,18 +819,26 @@ let run ?warmup ?tolerance t ~cycles =
    with Exit -> ());
   let measured = max 1 t.measured_cycles in
   let cap = ref 0. in
-  Array.iteri
-    (fun l n ->
+  Array.iter
+    (fun n ->
       let u = float_of_int n /. float_of_int measured in
-      ignore l;
       if u > !cap then cap := u)
-    t.link_flits;
+    t.b.link_flits;
+  (* Pooled quantiles over every measured tail latency — the
+     campaign-level latency objective. *)
+  let pooled =
+    Array.concat
+      (Array.to_list
+         (Array.map (fun inj -> Array.sub inj.latencies 0 inj.n_latencies) t.injectors))
+  in
+  Array.sort Int.compare pooled;
   {
     cycles = measured;
     comms =
       Array.to_list
         (Array.map
            (fun (inj : injector) ->
+             let sorted = sorted_latencies inj in
              {
                comm = inj.comm;
                packets_injected = inj.injected;
@@ -774,9 +848,9 @@ let run ?warmup ?tolerance t ~cycles =
                mean_latency =
                  (if inj.delivered = 0 then Float.nan
                   else float_of_int inj.latency_sum /. float_of_int inj.delivered);
-               latency_p50 = percentile inj.latencies 0.50;
-               latency_p95 = percentile inj.latencies 0.95;
-               latency_p99 = percentile inj.latencies 0.99;
+               latency_p50 = percentile sorted 0.50;
+               latency_p95 = percentile sorted 0.95;
+               latency_p99 = percentile sorted 0.99;
                requested_rate = inj.comm.Traffic.Communication.rate;
                delivered_rate =
                  float_of_int inj.flits_delivered
@@ -790,21 +864,9 @@ let run ?warmup ?tolerance t ~cycles =
     link_utilization =
       Array.mapi
         (fun l n -> (l, float_of_int n /. float_of_int measured))
-        t.link_flits;
-    (* Pooled quantiles over every measured tail latency, injector order
-       — the campaign-level latency objective. *)
-    latency_p50 =
-      percentile
-        (Array.fold_left
-           (fun acc (inj : injector) -> List.rev_append inj.latencies acc)
-           [] t.injectors)
-        0.50;
-    latency_p95 =
-      percentile
-        (Array.fold_left
-           (fun acc (inj : injector) -> List.rev_append inj.latencies acc)
-           [] t.injectors)
-        0.95;
+        t.b.link_flits;
+    latency_p50 = percentile pooled 0.50;
+    latency_p95 = percentile pooled 0.95;
     injected_flits = t.total_injected;
     ejected_flits = t.total_ejected;
     in_flight_flits = t.flits_in_flight;

@@ -70,6 +70,23 @@ let test_multipath_delivery () =
   let v = Sim.Validate.run ~cycles:20_000 km sol in
   check_bool "delivered over two paths" true v.all_delivered
 
+let test_walk_repeating_a_link () =
+  (* A detour walk may pass a core, and even a link, twice: each flit
+     follows its own position on the route, not the link's first
+     occurrence (which would loop it around forever). *)
+  let mesh = Noc.Mesh.square 3 in
+  let c = comm 0 (coord 1 1) (coord 1 3) 500. in
+  let walk =
+    Noc.Walk.of_cores
+      [| coord 1 1; coord 1 2; coord 2 2; coord 2 1; coord 1 1; coord 1 2; coord 1 3 |]
+  in
+  let sol = Routing.Solution.make mesh [ Routing.Solution.route_detour c walk ] in
+  let config = { Sim.Config.default with escape_vc = false } in
+  let v = Sim.Validate.run ~config ~cycles:5_000 km sol in
+  check_bool "delivered without escapes" true v.all_delivered;
+  check_int "flits conserved" v.report.Sim.Network.injected_flits
+    (v.report.Sim.Network.ejected_flits + v.report.Sim.Network.in_flight_flits)
+
 (* Four L-shaped routes forming the textbook cyclic channel dependency
    around the unit square (E->S->W->N->E). *)
 let cyclic_instance () =
@@ -535,6 +552,26 @@ let test_arena_reuse_bit_identical () =
   | _ -> Alcotest.fail "two reports expected"
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: the cycle loop works in preallocated arrays, so a long run
+   allocates only per delivered packet and per convergence probe. The
+   count is deterministic for a given build. *)
+
+let test_minor_words_per_cycle () =
+  let mesh = Noc.Mesh.square 8 in
+  let rng = Traffic.Rng.create 3 in
+  let comms =
+    Traffic.Workload.uniform rng mesh ~n:12 ~weight:Traffic.Workload.mixed
+  in
+  let net = Sim.Network.create km (Routing.Heuristic.sg.run km mesh comms) in
+  let w0 = Gc.minor_words () in
+  let r = Sim.Network.run ~warmup:0 net ~cycles:2_000 in
+  let words = Gc.minor_words () -. w0 in
+  check_int "no early exit" 2_000 r.Sim.Network.cycles;
+  let per_cycle = words /. 2_000. in
+  if per_cycle >= 1_000. then
+    Alcotest.failf "%.0f minor words per cycle (limit 1000)" per_cycle
+
+(* ------------------------------------------------------------------ *)
 (* Golden pins: the report digest and a digest of the observer event
    stream for fixed solutions and configurations. Any change to the
    simulator's data structures must leave these unchanged; only a change
@@ -708,6 +745,7 @@ let () =
           quick "feasible routing" test_feasible_routing_delivers;
           quick "overload starves" test_overload_starves;
           quick "multipath" test_multipath_delivery;
+          quick "walk repeating a link" test_walk_repeating_a_link;
         ] );
       ( "deadlock",
         [
@@ -757,5 +795,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_delivered_rate_converges;
           QCheck_alcotest.to_alcotest prop_identical_seeds_identical_reports;
         ] );
+      ("allocation", [ quick "minor words per cycle" test_minor_words_per_cycle ]);
       ("golden", golden_tests);
     ]

@@ -24,9 +24,10 @@ type t = {
           freedom for arbitrary (even adversarial) Manhattan route sets. *)
   escape_patience : int;
   max_pending_packets : int;
-      (** Injection back-pressure: an injector stops producing when this
-          many of its packets wait at the source. Delivered throughput
-          below the requested rate then signals saturation. *)
+      (** Injection back-pressure, per path: an injector stops producing
+          when this many packets wait at the source on the path its next
+          packet would take. Delivered throughput below the requested rate
+          then signals saturation. *)
   idle_links_min_level : bool;
       (** Clock load-free links at the lowest frequency level instead of
           turning them off, so escape detours never hit a dead link. *)
@@ -38,7 +39,7 @@ type t = {
 val default : t
 (** Single-cycle routers, 8-flit packets, 8-flit buffers, 4 VCs, escape
     enabled with patience 64,
-    4 pending packets, idle links at the lowest level, 10_000-cycle
+    4 pending packets per path, idle links at the lowest level, 10_000-cycle
     deadlock window. *)
 
 val validate : t -> unit

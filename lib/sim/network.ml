@@ -53,11 +53,14 @@ type injector = {
   shares : float array;  (* per path: share of the communication's rate *)
   flit_rate : float;  (* injected flits per cycle *)
   sent_per_path : float array;
-  pending : int array;  (* ring of packet slots waiting at the source *)
-  mutable p_head : int;
-  mutable p_len : int;
-  mutable emit_count : int;  (* flits of the head pending packet emitted *)
-  mutable emit_vc : int;  (* VC allocated for the head pending packet *)
+  mutable sent : int;  (* whole-run packets generated *)
+  (* One pending stream per path, so a path blocked at the source does not
+     hold back the others: *)
+  pending : int array array;  (* per path: ring of packet slots *)
+  p_head : int array;
+  p_len : int array;
+  emit_count : int array;  (* per path: flits of the head packet emitted *)
+  emit_vc : int array;  (* per path: VC allocated for the head packet *)
   mutable injected : int;
   mutable delivered : int;
   mutable flits_delivered : int;
@@ -270,17 +273,21 @@ let create ?(config = Config.default) ?arena model solution =
                  (fun (w, share) -> (walk_links mesh w, share /. total))
                  r.detours
            in
+           let paths = List.length all_routes in
            {
              comm = r.comm;
              routes = Array.of_list (List.map fst all_routes);
              shares = Array.of_list (List.map snd all_routes);
              flit_rate = total /. model.Power.Model.capacity;
-             sent_per_path = Array.make (List.length all_routes) 0.;
-             pending = Array.make config.Config.max_pending_packets 0;
-             p_head = 0;
-             p_len = 0;
-             emit_count = 0;
-             emit_vc = -1;
+             sent_per_path = Array.make paths 0.;
+             sent = 0;
+             pending =
+               Array.init paths (fun _ ->
+                   Array.make config.Config.max_pending_packets 0);
+             p_head = Array.make paths 0;
+             p_len = Array.make paths 0;
+             emit_count = Array.make paths 0;
+             emit_vc = Array.make paths (-1);
              injected = 0;
              delivered = 0;
              flits_delivered = 0;
@@ -308,7 +315,8 @@ let create ?(config = Config.default) ?arena model solution =
      holding its tail flit. *)
   let capacity =
     Array.fold_left
-      (fun n inj -> n + Array.length inj.pending)
+      (fun n inj ->
+        n + (Array.length inj.routes * config.Config.max_pending_packets))
       (nlinks * vcs) injectors
   in
   {
@@ -406,10 +414,10 @@ let normal_vcs t = if t.config.Config.escape_vc then t.b.vcs - 1 else t.b.vcs
 
 (* ---------------- injection ---------------- *)
 
-(* Deficit rule: the path whose delivered share lags the most, the first
-   on ties. *)
+(* Deficit rule: the path whose share of the packets generated so far
+   lags the most, the first on ties. *)
 let choose_path inj =
-  let n = float_of_int (inj.injected + 1) in
+  let n = float_of_int (inj.sent + 1) in
   let best = ref 0 in
   for i = 1 to Array.length inj.shares - 1 do
     let j = !best in
@@ -426,13 +434,14 @@ let inject_new_packets t =
   for ci = 0 to Array.length t.injectors - 1 do
     let inj = t.injectors.(ci) in
     t.acc.(ci) <- t.acc.(ci) +. inj.flit_rate;
-    while t.acc.(ci) >= pf && inj.p_len < max_pending do
+    while t.acc.(ci) >= pf && inj.p_len.(choose_path inj) < max_pending do
       t.acc.(ci) <- t.acc.(ci) -. pf;
-      let path = choose_path inj in
-      inj.sent_per_path.(path) <- inj.sent_per_path.(path) +. 1.;
-      let slot = alloc_packet t ~comm:ci ~route:inj.routes.(path) in
-      inj.pending.((inj.p_head + inj.p_len) mod max_pending) <- slot;
-      inj.p_len <- inj.p_len + 1;
+      let p = choose_path inj in
+      inj.sent_per_path.(p) <- inj.sent_per_path.(p) +. 1.;
+      inj.sent <- inj.sent + 1;
+      let slot = alloc_packet t ~comm:ci ~route:inj.routes.(p) in
+      inj.pending.(p).((inj.p_head.(p) + inj.p_len.(p)) mod max_pending) <- slot;
+      inj.p_len.(p) <- inj.p_len.(p) + 1;
       inj.injected <- inj.injected + 1;
       match t.observer with
       | None -> ()
@@ -566,30 +575,28 @@ let try_from t l_out q =
        true
      end
 
-(* Whether injector [ci] has a flit ready to enter [l_out] now; if so,
-   emits it. *)
-let try_inject t l_out ci =
-  let inj = t.injectors.(ci) in
-  inj.p_len > 0
+(* Whether the pending stream of path [p] has a flit ready to enter
+   [l_out] now; if so, emits it. *)
+let try_path t l_out inj p =
+  inj.p_len.(p) > 0
+  && inj.routes.(p).(0) = l_out
   &&
-  let slot = inj.pending.(inj.p_head) in
-  t.pk.route.(slot).(0) = l_out
-  &&
-  let is_head = inj.emit_count = 0 in
-  let w = if is_head then allocate t l_out slot else inj.emit_vc in
+  let slot = inj.pending.(p).(inj.p_head.(p)) in
+  let is_head = inj.emit_count.(p) = 0 in
+  let w = if is_head then allocate t l_out slot else inj.emit_vc.(p) in
   w >= 0
   && t.b.len.((l_out * t.b.vcs) + w) < t.b.depth
   && begin
-       let is_tail = inj.emit_count = t.config.Config.packet_flits - 1 in
-       if is_head then inj.emit_vc <- w;
-       inj.emit_count <- inj.emit_count + 1;
+       let is_tail = inj.emit_count.(p) = t.config.Config.packet_flits - 1 in
+       if is_head then inj.emit_vc.(p) <- w;
+       inj.emit_count.(p) <- inj.emit_count.(p) + 1;
        t.flits_in_flight <- t.flits_in_flight + 1;
        t.total_injected <- t.total_injected + 1;
        if is_tail then begin
-         inj.p_head <- (inj.p_head + 1) mod Array.length inj.pending;
-         inj.p_len <- inj.p_len - 1;
-         inj.emit_count <- 0;
-         inj.emit_vc <- -1
+         inj.p_head.(p) <- (inj.p_head.(p) + 1) mod Array.length inj.pending.(p);
+         inj.p_len.(p) <- inj.p_len.(p) - 1;
+         inj.emit_count.(p) <- 0;
+         inj.emit_vc.(p) <- -1
        end;
        let flit =
          (slot lsl 2)
@@ -599,6 +606,12 @@ let try_inject t l_out ci =
        deliver t l_out w flit 0;
        true
      end
+
+(* Whether the injector has a flit ready to enter [l_out] now, serving
+   its paths from [p] on in order; if so, emits it. *)
+let rec try_inject t l_out inj p =
+  p < Array.length inj.routes
+  && (try_path t l_out inj p || try_inject t l_out inj (p + 1))
 
 let arbitrate t =
   let b = t.b in
@@ -614,7 +627,8 @@ let arbitrate t =
         let i = (start + !k) mod n in
         let r = t.reqs.(base + i) in
         if
-          if r >= 0 then try_from t l_out r else try_inject t l_out (-r - 1)
+          if r >= 0 then try_from t l_out r
+          else try_inject t l_out t.injectors.(-r - 1) 0
         then begin
           b.rr.(l_out) <- i + 1;
           k := n

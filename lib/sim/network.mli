@@ -12,9 +12,13 @@
     reports it.
 
     Injectors produce fixed-size packets at each communication's requested
-    rate with bounded pending queues, so the delivered rate of a feasible
-    routing converges to the requested rate while an overloaded link shows
-    up as delivered < requested. *)
+    rate. A split communication sends each packet down the path whose
+    share of the packets generated so far (over the whole run) lags the
+    most, and keeps one bounded pending queue per path at the source, so a
+    path blocked at its first link does not hold back the others. The
+    delivered rate of a feasible routing, split or not, therefore
+    converges to the requested rate, while an overloaded link shows up as
+    delivered < requested. *)
 
 type t
 

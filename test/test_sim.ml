@@ -649,8 +649,13 @@ let golden_cases =
     run
   in
   let split seed () =
-    let sol, run = single smp2 seed in
+    let sol, ((r, _, _) as run) = single smp2 seed in
     check_bool "s-MP splits some route" true (split_routes sol > 0);
+    List.iter
+      (fun (s : Sim.Network.comm_stats) ->
+        check_bool "delivers 90% of the rate" true
+          (s.delivered_rate >= 0.9 *. s.requested_rate))
+      r.Sim.Network.comms;
     run
   in
   [
@@ -668,20 +673,20 @@ let golden_cases =
       "e073d134b9a3fa99c97d41b8864a790b" );
     ( "smp2 seed 1",
       split 1,
-      "c128d1a8ed57a87fb5f94b2c10bbdf7b",
-      "477d7caa4d7c4b651a12d061f5a19945" );
+      "f4bb751fc696ea7b9c5a4794f98e9342",
+      "f5bbf0d846d24a9c28b8a2650285f0ed" );
     ( "smp2 seed 2",
       split 2,
-      "4efb122191889cc2187fb64c92b1fa93",
-      "651b8b26bb57e2f0443c50e0eb9e0fdb" );
+      "23d154e335445c9affaf60f5c0c031fe",
+      "6c3a0417796478b3509cf3f9cba90110" );
     ( "smp2 seed 3",
       split 3,
-      "41621b825da6b0b345744ea3219639c2",
-      "c6ac47b371b4541c37c57ca309901882" );
+      "b126f81d15c6e81af77d817bc67b90ab",
+      "f8adcd978138899954ce2e7f01d86f62" );
     ( "smp2 seed 4",
       split 4,
-      "8c3d1633b09cef742862919f58535d84",
-      "83eb6b138647b1e75e2ef3221078762a" );
+      "ea1f59ee4c5d744675c50d9d5c8123e1",
+      "c70d6231a6b7b98c4e2c0b9b3f19dd83" );
     ( "kill with escape",
       (fun () ->
         let sol = golden_solution Routing.Heuristic.sg 1 in

@@ -49,6 +49,7 @@ type packets = {
 
 type injector = {
   comm : Traffic.Communication.t;
+  router : int;  (* row-major index of the source core *)
   routes : int array array;  (* per path: link ids *)
   shares : float array;  (* per path: share of the communication's rate *)
   flit_rate : float;  (* injected flits per cycle *)
@@ -70,10 +71,25 @@ type injector = {
   mutable n_latencies : int;
 }
 
+(* Mesh-derived tables, a pure function of the mesh shape. Routers are
+   numbered row-major. *)
+type topology = {
+  rows : int;
+  cols : int;
+  inputs_of : int array array;  (* per link: links into its source router *)
+  src_router : int array;  (* per link *)
+  dst_router : int array;  (* per link *)
+}
+
 type t = {
   config : Config.t;
   mesh : Noc.Mesh.t;
   b : buffers;
+  src_router : int array;  (* per link *)
+  in_router : int array;  (* per q: the router whose input it buffers *)
+  busy : int array;
+      (* Per router: flits buffered at its inputs plus packets pending at
+         its injectors. An idle router has nothing to arbitrate. *)
   reqs : int array;
       (* Requesters of output link l at [req_start.(l) .. req_start.(l+1)):
          input (link, VC) q as [q], injector ci as [-(ci + 1)]. *)
@@ -116,12 +132,10 @@ module Arena = struct
   type t = {
     mutable buffers : buffers option;
     mutable packets : packets option;
-    mutable inputs : (int * int * int array array) option;
-        (* (rows, cols, inputs_of): the table is a pure function of the
-           mesh shape, so the shape is the key. *)
+    mutable topology : topology option;
   }
 
-  let create () = { buffers = None; packets = None; inputs = None }
+  let create () = { buffers = None; packets = None; topology = None }
 
   (* One arena per domain: workers of the Monte-Carlo pool each get
      their own buffers, so arena reuse is race-free by construction. *)
@@ -214,22 +228,42 @@ let packets_for ~arena ~capacity =
           a.packets <- Some pk;
           pk)
 
-let inputs_table mesh nlinks =
-  Array.init nlinks (fun l ->
-      let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
-      Array.of_list
-        (List.map
-           (fun nb -> Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:nb ~dst:src))
-           (Noc.Mesh.neighbors mesh src)))
+let router mesh (c : Noc.Coord.t) = ((c.row - 1) * Noc.Mesh.cols mesh) + c.col - 1
+
+let topology mesh =
+  let ends = Array.init (Noc.Mesh.num_links mesh) (Noc.Mesh.link_of_id mesh) in
+  let into (core : Noc.Coord.t) =
+    Array.of_list
+      (List.map
+         (fun nb -> Noc.Mesh.link_id mesh (Noc.Mesh.link ~src:nb ~dst:core))
+         (Noc.Mesh.neighbors mesh core))
+  in
+  {
+    rows = Noc.Mesh.rows mesh;
+    cols = Noc.Mesh.cols mesh;
+    inputs_of = Array.map (fun (e : Noc.Mesh.link) -> into e.src) ends;
+    src_router = Array.map (fun (e : Noc.Mesh.link) -> router mesh e.src) ends;
+    dst_router = Array.map (fun (e : Noc.Mesh.link) -> router mesh e.dst) ends;
+  }
+
+let topology_for ~arena mesh =
+  match arena with
+  | Some ({ Arena.topology = Some top; _ } : Arena.t)
+    when top.rows = Noc.Mesh.rows mesh && top.cols = Noc.Mesh.cols mesh ->
+      top
+  | Some a ->
+      let top = topology mesh in
+      a.Arena.topology <- Some top;
+      top
+  | None -> topology mesh
 
 (* The requesters of every output link, in round-robin order: each input
    link feeding its source router with all its VCs, then the injectors
    at that router in communication order. *)
-let requesters mesh ~vcs inputs_of injectors =
+let requesters (top : topology) ~vcs injectors =
   let per_link =
     Array.mapi
       (fun l inputs ->
-        let src = (Noc.Mesh.link_of_id mesh l).Noc.Mesh.src in
         let from =
           List.concat_map
             (fun l_in -> List.init vcs (fun v -> (l_in * vcs) + v))
@@ -238,13 +272,12 @@ let requesters mesh ~vcs inputs_of injectors =
         let inject =
           List.filter_map
             (fun ci ->
-              if Noc.Coord.equal injectors.(ci).comm.Traffic.Communication.src src
-              then Some (-(ci + 1))
+              if injectors.(ci).router = top.src_router.(l) then Some (-(ci + 1))
               else None)
             (List.init (Array.length injectors) Fun.id)
         in
         Array.of_list (from @ inject))
-      inputs_of
+      top.inputs_of
   in
   let req_start = Array.make (Array.length per_link + 1) 0 in
   Array.iteri (fun l r -> req_start.(l + 1) <- req_start.(l) + Array.length r) per_link;
@@ -276,6 +309,7 @@ let create ?(config = Config.default) ?arena model solution =
            let paths = List.length all_routes in
            {
              comm = r.comm;
+             router = router mesh r.comm.Traffic.Communication.src;
              routes = Array.of_list (List.map fst all_routes);
              shares = Array.of_list (List.map snd all_routes);
              flit_rate = total /. model.Power.Model.capacity;
@@ -298,19 +332,8 @@ let create ?(config = Config.default) ?arena model solution =
            })
          (Routing.Solution.routes solution))
   in
-  let inputs_of =
-    let rows = Noc.Mesh.rows mesh and cols = Noc.Mesh.cols mesh in
-    match arena with
-    | Some ({ Arena.inputs = Some (r, c, table); _ } : Arena.t)
-      when r = rows && c = cols ->
-        table
-    | Some a ->
-        let table = inputs_table mesh nlinks in
-        a.Arena.inputs <- Some (rows, cols, table);
-        table
-    | None -> inputs_table mesh nlinks
-  in
-  let reqs, req_start = requesters mesh ~vcs inputs_of injectors in
+  let top = topology_for ~arena mesh in
+  let reqs, req_start = requesters top ~vcs injectors in
   (* A live packet either waits at its source or owns the (link, VC)
      holding its tail flit. *)
   let capacity =
@@ -323,6 +346,9 @@ let create ?(config = Config.default) ?arena model solution =
     config;
     mesh;
     b;
+    src_router = top.src_router;
+    in_router = Array.init (nlinks * vcs) (fun q -> top.dst_router.(q / vcs));
+    busy = Array.make (Noc.Mesh.num_cores mesh) 0;
     reqs;
     req_start;
     injectors;
@@ -396,17 +422,21 @@ let free_packet t slot =
 (* Ring cell of the oldest flit buffered at (link, VC) [q]. *)
 let front b q = (q * b.depth) + b.head.(q)
 
-let pop b q =
+let pop t q =
+  let b = t.b in
   let h = b.head.(q) + 1 in
   b.head.(q) <- (if h = b.depth then 0 else h);
-  b.len.(q) <- b.len.(q) - 1
+  b.len.(q) <- b.len.(q) - 1;
+  t.busy.(t.in_router.(q)) <- t.busy.(t.in_router.(q)) - 1
 
-let push b q flit ~cycle =
+let push t q flit =
+  let b = t.b in
   let i = b.head.(q) + b.len.(q) in
   let cell = (q * b.depth) + if i >= b.depth then i - b.depth else i in
   b.flits.(cell) <- flit;
-  b.stamps.(cell) <- cycle;
-  b.len.(q) <- b.len.(q) + 1
+  b.stamps.(cell) <- t.cycle;
+  b.len.(q) <- b.len.(q) + 1;
+  t.busy.(t.in_router.(q)) <- t.busy.(t.in_router.(q)) + 1
 
 let escape_vc_of t = t.b.vcs - 1
 
@@ -442,6 +472,7 @@ let inject_new_packets t =
       let slot = alloc_packet t ~comm:ci ~route:inj.routes.(p) in
       inj.pending.(p).((inj.p_head.(p) + inj.p_len.(p)) mod max_pending) <- slot;
       inj.p_len.(p) <- inj.p_len.(p) + 1;
+      t.busy.(inj.router) <- t.busy.(inj.router) + 1;
       inj.injected <- inj.injected + 1;
       match t.observer with
       | None -> ()
@@ -475,7 +506,7 @@ let eject t =
         && b.hop.(q) = Array.length pk.route.(slot) - 1
       then begin
         (* Arrived: consume one flit per cycle per stream. *)
-        pop b q;
+        pop t q;
         t.flits_in_flight <- t.flits_in_flight - 1;
         t.total_ejected <- t.total_ejected + 1;
         t.last_progress <- t.cycle;
@@ -525,7 +556,7 @@ let allocate t l_out slot =
 let deliver t l_out w flit hop =
   let b = t.b in
   let q = (l_out * b.vcs) + w in
-  push b q flit ~cycle:t.cycle;
+  push t q flit;
   if flit land head_bit <> 0 then begin
     b.owner.(q) <- flit lsr 2;
     b.hop.(q) <- hop
@@ -561,7 +592,7 @@ let try_from t l_out q =
   w >= 0
   && b.len.((l_out * b.vcs) + w) < b.depth
   && begin
-       pop b q;
+       pop t q;
        b.wait.(q) <- 0;
        if is_head then begin
          b.next_out.(q) <- l_out;
@@ -595,6 +626,7 @@ let try_path t l_out inj p =
        if is_tail then begin
          inj.p_head.(p) <- (inj.p_head.(p) + 1) mod Array.length inj.pending.(p);
          inj.p_len.(p) <- inj.p_len.(p) - 1;
+         t.busy.(inj.router) <- t.busy.(inj.router) - 1;
          inj.emit_count.(p) <- 0;
          inj.emit_vc.(p) <- -1
        end;
@@ -620,11 +652,13 @@ let arbitrate t =
     b.credit.(l_out) <- (if c < 2. then c else 2.);
     let base = t.req_start.(l_out) in
     let n = t.req_start.(l_out + 1) - base in
-    if b.credit.(l_out) >= 1. && n > 0 then begin
+    if b.credit.(l_out) >= 1. && n > 0 && t.busy.(t.src_router.(l_out)) > 0
+    then begin
       let start = b.rr.(l_out) mod n in
       let k = ref 0 in
       while !k < n do
-        let i = (start + !k) mod n in
+        let i = start + !k in
+        let i = if i >= n then i - n else i in
         let r = t.reqs.(base + i) in
         if
           if r >= 0 then try_from t l_out r

@@ -29,7 +29,7 @@ type buffers = {
   owner : int array;  (* per q: packet slot or -1 *)
   next_out : int array;  (* per q: allocated out link or -1 *)
   next_vc : int array;  (* per q: allocated out VC *)
-  wait : int array;
+  wait : int array;  (* per q: cycles its head has waited for an out VC *)
   hop : int array;
       (* per q: the owner's position on its route, stored when its head
          arrives, so a route may pass a core or link twice *)
@@ -85,8 +85,7 @@ type t = {
   config : Config.t;
   mesh : Noc.Mesh.t;
   b : buffers;
-  src_router : int array;  (* per link *)
-  in_router : int array;  (* per q: the router whose input it buffers *)
+  top : topology;
   busy : int array;
       (* Per router: flits buffered at its inputs plus packets pending at
          its injectors. An idle router has nothing to arbitrate. *)
@@ -122,12 +121,12 @@ let walk_links mesh walk =
 (* A campaign sweeps many solutions over the same mesh; allocating the
    buffers afresh for every simulation is an allocation storm under the
    worker pool. An arena caches the buffers (keyed by links, VCs and
-   buffer depth), the packet slab and the mesh-derived input-link table,
-   and {!create} resets them to exactly the state a fresh allocation
-   would have — a network built in an arena is bit-identical to a fresh
-   one, it just skips the allocator. Only the most recent network built
-   in an arena is valid: building the next one recycles the buffers under
-   the previous network's feet. *)
+   buffer depth), the packet slab and the mesh-derived topology, and
+   {!create} resets them to exactly the state a fresh allocation would
+   have — a network built in an arena is bit-identical to a fresh one, it
+   just skips the allocator. Only the most recent network built in an
+   arena is valid: building the next one recycles the buffers under the
+   previous network's feet. *)
 module Arena = struct
   type t = {
     mutable buffers : buffers option;
@@ -200,7 +199,8 @@ let buffers_for ~arena ~nlinks ~vcs ~depth =
           a.buffers <- Some b;
           b)
 
-(* A slab of [capacity] free slots, lowest slot on top of the stack. *)
+(* A slab of at least [capacity] slots, all free: recycled from the arena
+   when it is large enough. *)
 let packets_for ~arena ~capacity =
   let fresh () =
     {
@@ -209,7 +209,7 @@ let packets_for ~arena ~capacity =
       route = Array.make capacity [||];
       born = Array.make capacity 0;
       escaped = Array.make capacity false;
-      free = Array.init capacity (fun i -> capacity - 1 - i);
+      free = Array.init capacity Fun.id;
       nfree = capacity;
     }
   in
@@ -218,10 +218,9 @@ let packets_for ~arena ~capacity =
   | Some (a : Arena.t) -> (
       match a.packets with
       | Some pk when Array.length pk.id >= capacity ->
-          let n = Array.length pk.id in
-          Array.iteri (fun i _ -> pk.free.(i) <- n - 1 - i) pk.free;
-          Array.fill pk.route 0 n [||];
-          pk.nfree <- n;
+          Array.iteri (fun i _ -> pk.free.(i) <- i) pk.free;
+          Array.fill pk.route 0 (Array.length pk.route) [||];
+          pk.nfree <- Array.length pk.free;
           pk
       | _ ->
           let pk = fresh () in
@@ -260,7 +259,7 @@ let topology_for ~arena mesh =
 (* The requesters of every output link, in round-robin order: each input
    link feeding its source router with all its VCs, then the injectors
    at that router in communication order. *)
-let requesters (top : topology) ~vcs injectors =
+let requesters top ~vcs injectors =
   let per_link =
     Array.mapi
       (fun l inputs ->
@@ -346,8 +345,7 @@ let create ?(config = Config.default) ?arena model solution =
     config;
     mesh;
     b;
-    src_router = top.src_router;
-    in_router = Array.init (nlinks * vcs) (fun q -> top.dst_router.(q / vcs));
+    top;
     busy = Array.make (Noc.Mesh.num_cores mesh) 0;
     reqs;
     req_start;
@@ -427,7 +425,8 @@ let pop t q =
   let h = b.head.(q) + 1 in
   b.head.(q) <- (if h = b.depth then 0 else h);
   b.len.(q) <- b.len.(q) - 1;
-  t.busy.(t.in_router.(q)) <- t.busy.(t.in_router.(q)) - 1
+  let r = t.top.dst_router.(q / b.vcs) in
+  t.busy.(r) <- t.busy.(r) - 1
 
 let push t q flit =
   let b = t.b in
@@ -436,7 +435,8 @@ let push t q flit =
   b.flits.(cell) <- flit;
   b.stamps.(cell) <- t.cycle;
   b.len.(q) <- b.len.(q) + 1;
-  t.busy.(t.in_router.(q)) <- t.busy.(t.in_router.(q)) + 1
+  let r = t.top.dst_router.(q / b.vcs) in
+  t.busy.(r) <- t.busy.(r) + 1
 
 let escape_vc_of t = t.b.vcs - 1
 
@@ -652,7 +652,7 @@ let arbitrate t =
     b.credit.(l_out) <- (if c < 2. then c else 2.);
     let base = t.req_start.(l_out) in
     let n = t.req_start.(l_out + 1) - base in
-    if b.credit.(l_out) >= 1. && n > 0 && t.busy.(t.src_router.(l_out)) > 0
+    if b.credit.(l_out) >= 1. && n > 0 && t.busy.(t.top.src_router.(l_out)) > 0
     then begin
       let start = b.rr.(l_out) mod n in
       let k = ref 0 in

@@ -25,8 +25,8 @@ type t
 (** Reusable simulation buffers. A campaign simulates many solutions over
     the same mesh; an arena caches the per-link and per-(link, VC) arrays,
     flit rings included (keyed by link count, VC count and buffer depth),
-    the packet slab and the mesh-derived input-link table, so {!create}
-    skips the allocation storm. Networks built in an arena are
+    the packet slab and the mesh-derived router tables, so {!create} skips
+    the allocation storm. Networks built in an arena are
     bit-identical to freshly allocated ones — reuse resets every cell that
     is read before it is written — but only the most recently built
     network is valid: the next {!create} in the same arena recycles the

@@ -260,27 +260,35 @@ let topology_for ~arena mesh =
    link feeding its source router with all its VCs, then the injectors
    at that router in communication order. *)
 let requesters top ~vcs injectors =
-  let per_link =
-    Array.mapi
-      (fun l inputs ->
-        let from =
-          List.concat_map
-            (fun l_in -> List.init vcs (fun v -> (l_in * vcs) + v))
-            (Array.to_list inputs)
-        in
-        let inject =
-          List.filter_map
-            (fun ci ->
-              if injectors.(ci).router = top.src_router.(l) then Some (-(ci + 1))
-              else None)
-            (List.init (Array.length injectors) Fun.id)
-        in
-        Array.of_list (from @ inject))
-      top.inputs_of
-  in
-  let req_start = Array.make (Array.length per_link + 1) 0 in
-  Array.iteri (fun l r -> req_start.(l + 1) <- req_start.(l) + Array.length r) per_link;
-  (Array.concat (Array.to_list per_link), req_start)
+  let at_router = Array.make (top.rows * top.cols) [] in
+  for ci = Array.length injectors - 1 downto 0 do
+    let r = injectors.(ci).router in
+    at_router.(r) <- -(ci + 1) :: at_router.(r)
+  done;
+  let nlinks = Array.length top.inputs_of in
+  let req_start = Array.make (nlinks + 1) 0 in
+  for l = 0 to nlinks - 1 do
+    req_start.(l + 1) <-
+      req_start.(l)
+      + (Array.length top.inputs_of.(l) * vcs)
+      + List.length at_router.(top.src_router.(l))
+  done;
+  let reqs = Array.make req_start.(nlinks) 0 in
+  for l = 0 to nlinks - 1 do
+    let k = ref req_start.(l) in
+    let add r =
+      reqs.(!k) <- r;
+      incr k
+    in
+    Array.iter
+      (fun l_in ->
+        for v = 0 to vcs - 1 do
+          add ((l_in * vcs) + v)
+        done)
+      top.inputs_of.(l);
+    List.iter add at_router.(top.src_router.(l))
+  done;
+  (reqs, req_start)
 
 let create ?(config = Config.default) ?arena model solution =
   Config.validate config;
